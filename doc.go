@@ -42,8 +42,9 @@
 //
 //   - cellprobe.Addr is the binary cell address: a typed table tag
 //     (T[i], aux[i], member[B], …) plus the packed payload words of the
-//     sketch or query point. It is comparable and keys the lazy oracle
-//     memo directly — no string serialization anywhere on the probe path.
+//     sketch or query point. It is comparable (the result cache keys on
+//     it) and its payload words key the lazy oracle memo exactly — no
+//     string serialization anywhere on the probe path.
 //   - cellprobe.QueryCtx owns one query's execution state: the staged
 //     probe refs of the current round, the round's result words, the
 //     Stats accounting, and (optionally) the transcript the Proposition

@@ -54,3 +54,27 @@ func BenchmarkKey(b *testing.B) {
 		_ = x.Key()
 	}
 }
+
+// BenchmarkFirstWithin times one full scan of a 16 384-row block (no row
+// matches, the cold-cell worst case) per specialised width and for the
+// generic body (7 words), reporting ns per row.
+func BenchmarkFirstWithin(b *testing.B) {
+	const rows = 16384
+	for _, c := range []struct {
+		name  string
+		words int
+	}{{"w=4", 4}, {"w=5", 5}, {"w=6", 6}, {"w=8", 8}, {"w=generic", 7}} {
+		b.Run(c.name, func(b *testing.B) {
+			blk, key := scanBlock(rows, c.words, 1)
+			thr := c.words * 64 * 2 / 9 // a ball-table cut (≈ 76 of 336 bits); random rows sit near bits/2, none qualifies
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if blk.FirstWithin(key, thr) >= 0 {
+					b.Fatal("unexpected match")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+		})
+	}
+}

@@ -73,35 +73,21 @@ func (b *Block) Slice(lo, hi int) Block {
 	return Block{RowWords: b.RowWords, Words: b.Words[lo*b.RowWords : hi*b.RowWords]}
 }
 
-// The incremental hash primitives below expose Vector.Hash word by word,
-// so a hash can be computed over any word sequence (a block row, an
-// address payload) without materializing a Vector. HashFinish after
-// HashWord over a vector's words equals that vector's Hash.
-
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-// HashSeed returns the initial incremental hash state.
-func HashSeed() uint64 { return fnvOffset }
-
-// HashWord folds one 64-bit word into the state, byte by byte
-// (little-endian), matching Vector.Hash.
-func HashWord(h, w uint64) uint64 {
-	for s := 0; s < 64; s += 8 {
-		h ^= (w >> uint(s)) & 0xff
-		h *= fnvPrime
-	}
-	return h
-}
-
-// Hash returns a 64-bit FNV-1a hash of the vector contents. Suitable for
-// map keys via Key, and for the membership tables' bucket addressing.
+// Hash returns a 64-bit FNV-1a hash of the vector contents (each word
+// byte by byte, little-endian). Suitable for map keys via Key, and for
+// the membership tables' bucket addressing.
 func (v Vector) Hash() uint64 {
-	h := HashSeed()
+	h := uint64(fnvOffset)
 	for _, w := range v {
-		h = HashWord(h, w)
+		for s := 0; s < 64; s += 8 {
+			h ^= (w >> uint(s)) & 0xff
+			h *= fnvPrime
+		}
 	}
 	return h
 }

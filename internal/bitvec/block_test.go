@@ -45,17 +45,3 @@ func TestBlockOfRejectsRagged(t *testing.T) {
 	}()
 	BlockOf([]Vector{{1}, {2, 3}})
 }
-
-// TestIncrementalHashMatchesVectorHash pins the contract the binary-keyed
-// membership index relies on: hashing an address payload word by word
-// equals hashing the equivalent vector.
-func TestIncrementalHashMatchesVectorHash(t *testing.T) {
-	v := Vector{0xdeadbeef, 0x12345678abcdef00, 7}
-	h := HashSeed()
-	for _, w := range v {
-		h = HashWord(h, w)
-	}
-	if h != v.Hash() {
-		t.Errorf("incremental hash %x != Vector.Hash %x", h, v.Hash())
-	}
-}

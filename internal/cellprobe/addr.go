@@ -72,9 +72,10 @@ func (t Tag) String() string {
 const AddrWords = 16
 
 // Addr is a binary cell address: the owning table's tag plus a packed,
-// word-aligned payload. Addr is comparable — it is used directly as the
-// oracle memo key — and carries no heap references for inline payloads, so
-// building one on the query hot path allocates nothing.
+// word-aligned payload. Addr is comparable — the result cache keys on it,
+// and its payload words are the oracle memo's exact key — and carries no
+// heap references for inline payloads, so building one on the query hot
+// path allocates nothing.
 type Addr struct {
 	tag  Tag
 	n    uint16            // payload length in words
@@ -99,11 +100,16 @@ func (a *Addr) Word(i int) uint64 {
 	return a.word[i]
 }
 
-// AppendPayload appends the payload words to dst and returns it. Used by
-// table eval functions to reconstruct structured addresses on memo misses.
+// AppendPayload appends the payload words to dst and returns it: one copy
+// for an inline payload. Table eval functions and the oracle memo extract
+// the payload once, into a stack buffer of AddrWords words, and work on
+// the flat words from there.
 func (a *Addr) AppendPayload(dst []uint64) []uint64 {
+	if a.ext == "" {
+		return append(dst, a.word[:a.n]...)
+	}
 	for i := 0; i < int(a.n); i++ {
-		dst = append(dst, a.Word(i))
+		dst = append(dst, extWord(a.ext, i))
 	}
 	return dst
 }

@@ -159,8 +159,9 @@ func (c *QueryCtx) Flush() ([]Word, error) {
 	for i := range refs {
 		r := &refs[i]
 		c.words[i] = r.Table.Lookup(r.Addr)
-		c.stats.BitsRead += int64(r.Table.WordBits())
-		c.stats.AddrBitsSent += int64(ceilLog(r.Table.NominalLogCells()))
+		wordBits, addrBits := probeBits(r.Table)
+		c.stats.BitsRead += int64(wordBits)
+		c.stats.AddrBitsSent += int64(addrBits)
 		if c.record {
 			c.transcript = append(c.transcript, TranscriptEntry{
 				Round:   round,
@@ -179,6 +180,16 @@ func (c *QueryCtx) Flush() ([]Word, error) {
 func (c *QueryCtx) Round(refs []Ref) ([]Word, error) {
 	c.pending = append(c.pending, refs...)
 	return c.Flush()
+}
+
+// probeBits returns what one probe of t moves in the communication view:
+// the word read and the ⌈log₂ cells⌉ address bits sent. An Oracle holds
+// both as integers computed at construction.
+func probeBits(t Table) (wordBits, addrBits int) {
+	if o, ok := t.(*Oracle); ok {
+		return o.wordBits, o.addrBits
+	}
+	return t.WordBits(), ceilLog(t.NominalLogCells())
 }
 
 func ceilLog(logCells float64) int {

@@ -1,6 +1,9 @@
 package cellprobe
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Table is a table structure in the cell-probe model: a code assigning a
 // word to every address of its address space. Implementations must be safe
@@ -26,40 +29,20 @@ type Table interface {
 // many distinct cells were lazily evaluated and how many were served from
 // the memo. Experiment E8 reports these against the nominal sizes.
 type Meter struct {
-	mu        sync.Mutex
-	cellEvals int64
-	memoHits  int64
+	cellEvals atomic.Int64
+	memoHits  atomic.Int64
 }
 
 // CellEvals returns the number of distinct lazy cell evaluations.
-func (m *Meter) CellEvals() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cellEvals
-}
+func (m *Meter) CellEvals() int64 { return m.cellEvals.Load() }
 
 // MemoHits returns the number of lookups served from the memo.
-func (m *Meter) MemoHits() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.memoHits
-}
-
-func (m *Meter) addEval() {
-	m.mu.Lock()
-	m.cellEvals++
-	m.mu.Unlock()
-}
-
-func (m *Meter) addHit() {
-	m.mu.Lock()
-	m.memoHits++
-	m.mu.Unlock()
-}
+func (m *Meter) MemoHits() int64 { return m.memoHits.Load() }
 
 // Evaler computes a cell's content from its address. Implementations
-// must be deterministic — the result represents what the preprocessing
-// stage would have stored in that cell.
+// must be deterministic functions of the address payload — the result
+// represents what the preprocessing stage would have stored in that cell,
+// and the oracle memoises it under the payload alone.
 type Evaler interface {
 	EvalCell(addr Addr) Word
 }
@@ -72,20 +55,21 @@ type funcEvaler struct {
 func (f funcEvaler) EvalCell(addr Addr) Word { return f.fn(addr) }
 
 // Oracle is a Table whose cells are computed on demand by a pure function
-// of the address and memoized. The memo is keyed directly on the binary
-// Addr (comparable, no string round-trips), so steady-state lookups
-// allocate nothing; the map itself is made on the first miss, keeping a
-// freshly opened index's table scaffolding allocation-light (a snapshot
-// open builds O(L·shards) oracles before the first query arrives).
+// of the address and memoized in a flat exact-key store (see memo), so
+// steady-state lookups allocate nothing; the store owns no memory until
+// the first miss, keeping a freshly opened index's table scaffolding
+// allocation-light (a snapshot open builds O(L·shards) oracles before the
+// first query arrives).
 type Oracle struct {
 	tag      Tag
 	logCells float64
 	wordBits int
+	addrBits int // ⌈log₂ cells⌉, what one probe's address costs to send
 	ev       Evaler
 	meter    *Meter
 
 	mu   sync.RWMutex
-	memo map[Addr]Word // nil until the first miss
+	memo memo
 }
 
 // NewOracle builds an oracle-backed table over a plain function. meter
@@ -102,6 +86,7 @@ func NewOracleEval(tag Tag, logCells float64, wordBits int, meter *Meter, ev Eva
 		tag:      tag,
 		logCells: logCells,
 		wordBits: wordBits,
+		addrBits: ceilLog(logCells),
 		ev:       ev,
 		meter:    meter,
 	}
@@ -121,25 +106,25 @@ func (o *Oracle) WordBits() int { return o.wordBits }
 
 // Lookup implements Table, evaluating and memoizing the cell on first use.
 func (o *Oracle) Lookup(addr Addr) Word {
+	var buf [AddrWords]uint64
+	key := addr.AppendPayload(buf[:0])
+	hash := hashWords(key)
 	o.mu.RLock()
-	w, ok := o.memo[addr]
+	w, ok := o.memo.get(hash, key)
 	o.mu.RUnlock()
 	if ok {
 		if o.meter != nil {
-			o.meter.addHit()
+			o.meter.memoHits.Add(1)
 		}
 		return w
 	}
 	w = o.ev.EvalCell(addr)
 	o.mu.Lock()
 	// Another goroutine may have raced us; determinism makes that benign.
-	if o.memo == nil {
-		o.memo = make(map[Addr]Word)
-	}
-	o.memo[addr] = w
+	o.memo.put(hash, key, w)
 	o.mu.Unlock()
 	if o.meter != nil {
-		o.meter.addEval()
+		o.meter.cellEvals.Add(1)
 	}
 	return w
 }
@@ -148,5 +133,5 @@ func (o *Oracle) Lookup(addr Addr) Word {
 func (o *Oracle) MemoSize() int {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return len(o.memo)
+	return o.memo.n
 }

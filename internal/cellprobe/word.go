@@ -7,7 +7,8 @@
 //
 // Tables are represented as oracles: a cell's content is a deterministic
 // function of (database, public randomness, address), so the simulator
-// evaluates cells on demand and memoizes them, keyed on the binary Addr.
+// evaluates cells on demand and memoizes them, keyed exactly on the
+// address payload (memo.go).
 // Nominal model sizes are reported separately (see DESIGN.md §3.1). Probe
 // and round accounting is exact and limited adaptivity is *enforced*: the
 // QueryCtx hands back an entire round's contents at once (Stage/Flush) and

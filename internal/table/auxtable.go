@@ -1,6 +1,8 @@
 package table
 
 import (
+	"sync"
+
 	"repro/internal/bitvec"
 	"repro/internal/cellprobe"
 )
@@ -27,10 +29,13 @@ type AuxTable struct {
 	Level  int
 	set    *Set
 	oracle *cellprobe.Oracle
+
+	members sync.Pool // *[]int: C_i member lists, reused across cold cells
 }
 
 func newAuxTable(set *Set, level int, meter *cellprobe.Meter) *AuxTable {
 	t := &AuxTable{Level: level, set: set}
+	t.members.New = func() any { return new([]int) }
 	fam := set.Fam
 	// Nominal cells: accurate sketch j (c₁ log n bits) × up to s coarse
 	// sketches ((c₂/s) log n bits each) × level indices (≤ log₂(L+1) bits
@@ -96,11 +101,12 @@ func (t *AuxTable) Address(q AuxQuery) cellprobe.Addr {
 	return b.Addr()
 }
 
-// eval computes the stored content for an address: it reconstructs the
-// sets C_i and D_{i,level_q} from the database and the public randomness,
-// then applies the size test of the table-construction step of §3.2.
-// Malformed payloads (impossible for algorithm-built addresses) yield the
-// "none" sentinel defensively. Runs only on memo misses.
+// EvalCell implements cellprobe.Evaler: it reconstructs the sets C_i and
+// D_{i,level_q} from the database and the public randomness, then applies
+// the size test of the table-construction step of §3.2. Malformed payloads
+// (impossible for algorithm-built addresses) yield the "none" sentinel
+// defensively. Runs only on memo misses; the payload goes to the stack and
+// the member list to pooled scratch, so a miss allocates nothing.
 func (t *AuxTable) EvalCell(addr cellprobe.Addr) cellprobe.Word {
 	fam := t.set.Fam
 	jWords := bitvec.Words(fam.AccurateRows())
@@ -108,43 +114,40 @@ func (t *AuxTable) EvalCell(addr cellprobe.Addr) cellprobe.Word {
 	if addr.Len() < jWords+1 {
 		return cellprobe.IntWord(0)
 	}
-	payload := addr.AppendPayload(nil)
-	j := bitvec.Vector(payload[:jWords])
+	var buf [cellprobe.AddrWords]uint64
+	payload := addr.AppendPayload(buf[:0])
 	count := payload[jWords]
 	if count > uint64(addr.Len()) || addr.Len() != jWords+1+int(count)*(1+cWords) {
 		return cellprobe.IntWord(0)
 	}
 	// Reconstruct C_i = {z : dist(j, M_i z) ≤ θ_i}.
-	ball := t.set.Ball[t.Level]
-	members := ball.MembersOfC(j)
-	cSize := len(members)
-	cut := t.set.sizeCut(cSize)
-	pos := jWords + 1
-	for q := uint64(1); q <= count; q++ {
-		lv := payload[pos]
-		wq := bitvec.Vector(payload[pos+1 : pos+1+cWords])
-		pos += 1 + cWords
-		if int(lv) > fam.L {
-			return cellprobe.IntWord(0)
-		}
-		dSize := t.dSize(members, int(lv), wq)
-		if dSize > cut {
-			return cellprobe.IntWord(int(q))
-		}
-	}
-	return cellprobe.IntWord(0) // none: every tested D is small
+	scratch := t.members.Get().(*[]int)
+	members := t.set.Ball[t.Level].appendMembersOfC((*scratch)[:0], payload[:jWords])
+	q := t.firstLarge(members, payload[jWords+1:], int(count))
+	*scratch = members
+	t.members.Put(scratch)
+	return cellprobe.IntWord(q)
 }
 
-// dSize computes |D_{i,level}| = |{z ∈ C_i : dist(w, N_level z) ≤ θ'_level}|.
-func (t *AuxTable) dSize(cMembers []int, level int, w bitvec.Vector) int {
+// firstLarge applies the size test to the address's (level, w) groups in
+// order: it returns the smallest q ≤ count with |D_{i,level_q}| above the
+// n^{-1/s}·|C_i| cut, where D_{i,level} = {z ∈ C_i : dist(w, N_level z) ≤
+// θ'_level}, or 0 (none) when every tested D is small or a level is out
+// of range.
+func (t *AuxTable) firstLarge(cMembers []int, groups []uint64, count int) int {
 	fam := t.set.Fam
-	thr := fam.CoarseThreshold(level)
-	sketches := t.set.coarseDBSketches(level)
-	n := 0
-	for _, idx := range cMembers {
-		if bitvec.DistanceAtMost(w, sketches.Row(idx), thr) {
-			n++
+	cWords := bitvec.Words(fam.CoarseRows())
+	cut := t.set.sizeCut(len(cMembers))
+	for q := 1; q <= count; q++ {
+		lv, wq := int(groups[0]), groups[1:1+cWords]
+		groups = groups[1+cWords:]
+		if lv < 0 || lv > fam.L {
+			return 0
+		}
+		sketches := t.set.coarseDBSketches(lv)
+		if sketches.CountWithinRows(cMembers, wq, fam.CoarseThreshold(lv)) > cut {
+			return q
 		}
 	}
-	return n
+	return 0
 }

@@ -120,25 +120,23 @@ func (t *BallTable) SketchBlock() bitvec.Block {
 	return t.sk
 }
 
-// eval computes the cell content the preprocessing stage would store at
-// address addr: an arbitrary (here: first) database point whose sketch is
-// within the level threshold of addr, else EMPTY. It runs only on memo
-// misses and compares the address payload against the flat sketch block
-// in place, so even a miss allocates nothing.
-// EvalCell implements cellprobe.Evaler: it computes the stored content
-// for an address on memo misses.
+// EvalCell implements cellprobe.Evaler: it computes the content the
+// preprocessing stage would store at addr — the first database point, in
+// database order, whose sketch is within the level threshold of the
+// address, else EMPTY. It runs only on memo misses: the address payload is
+// copied once to the stack and the flat sketch block is scanned by the
+// bitvec first-match kernel, so a miss allocates nothing.
 func (t *BallTable) EvalCell(addr cellprobe.Addr) cellprobe.Word {
 	t.ensureSketches()
-	if addr.Len() != bitvec.Words(t.fam.AccurateRows()) {
+	if addr.Len() != t.sk.RowWords {
 		// Malformed addresses do not occur in the model (every bit string of
 		// the right length is a valid address); treat as EMPTY defensively.
 		return cellprobe.EmptyWord
 	}
-	thr := t.fam.AccurateThreshold(t.Level)
-	for i, n := 0, t.db.Rows(); i < n; i++ {
-		if addrDistanceAtMost(&addr, t.sk.Row(i), thr) {
-			return cellprobe.PointWord(i)
-		}
+	var buf [cellprobe.AddrWords]uint64
+	key := addr.AppendPayload(buf[:0])
+	if i := t.sk.FirstWithin(key, t.fam.AccurateThreshold(t.Level)); i >= 0 {
+		return cellprobe.PointWord(i)
 	}
 	return cellprobe.EmptyWord
 }
@@ -147,28 +145,20 @@ func (t *BallTable) EvalCell(addr cellprobe.Addr) cellprobe.Word {
 // given query sketch. This is *not* a model operation — it is used by tests
 // and by the Lemma 8 validation experiment (E7).
 func (t *BallTable) MembersOfC(sketchX bitvec.Vector) []int {
+	return t.appendMembersOfC(nil, sketchX)
+}
+
+// appendMembersOfC is MembersOfC into caller-owned scratch (the auxiliary
+// tables rebuild C_level on every cold cell).
+func (t *BallTable) appendMembersOfC(dst []int, sketchX bitvec.Vector) []int {
 	t.ensureSketches()
-	thr := t.fam.AccurateThreshold(t.Level)
-	var out []int
-	for i, n := 0, t.db.Rows(); i < n; i++ {
-		if bitvec.DistanceAtMost(sketchX, t.sk.Row(i), thr) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return t.sk.AppendWithin(dst, sketchX, t.fam.AccurateThreshold(t.Level))
 }
 
 // CountC returns |C_level| for the given query sketch (test/validation use).
 func (t *BallTable) CountC(sketchX bitvec.Vector) int {
 	t.ensureSketches()
-	thr := t.fam.AccurateThreshold(t.Level)
-	n := 0
-	for i, rows := 0, t.db.Rows(); i < rows; i++ {
-		if bitvec.DistanceAtMost(sketchX, t.sk.Row(i), thr) {
-			n++
-		}
-	}
-	return n
+	return t.sk.CountWithin(sketchX, t.fam.AccurateThreshold(t.Level))
 }
 
 // DBSketch exposes the memoized sketch of database point i (package-internal

@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitvec"
-	"repro/internal/cellprobe"
 )
 
 // pointKeyIndex is the binary-keyed membership index: it maps a packed
 // point to its first occurrence in the database block via open addressing
 // over a flat power-of-two slot array. Keys are never materialized — a
-// probe hashes and compares the candidate's words in place (whether they
-// arrive as a block row or as a cell-address payload), so building and
+// probe hashes and compares the candidate's words in place (a block row,
+// or the flat words of a cell-address payload), so building and
 // querying the index allocates no per-entry strings, unlike the
 // map[string]int it replaced.
 //
@@ -92,50 +91,4 @@ func (pi *pointKeyIndex) lookup(x bitvec.Vector) (int, bool) {
 			return int(v - 1), true
 		}
 	}
-}
-
-// lookupAddr is lookup keyed on a cell-address payload, hashing and
-// comparing the payload words in place (no reconstruction, no allocation).
-func (pi *pointKeyIndex) lookupAddr(a *cellprobe.Addr) (int, bool) {
-	if a.Len() != pi.block.RowWords {
-		return -1, false
-	}
-	pi.init()
-	h := bitvec.HashSeed()
-	for i := 0; i < a.Len(); i++ {
-		h = bitvec.HashWord(h, a.Word(i))
-	}
-	for s := uint32(h) & pi.mask; ; s = (s + 1) & pi.mask {
-		v := pi.slots[s]
-		if v == 0 {
-			return -1, false
-		}
-		if rowEqualsAddr(pi.block.Row(int(v-1)), a) {
-			return int(v - 1), true
-		}
-	}
-}
-
-func rowEqualsAddr(row bitvec.Vector, a *cellprobe.Addr) bool {
-	for i := range row {
-		if row[i] != a.Word(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// addrDistanceAtMost reports whether the Hamming distance between the
-// address payload (a packed vector) and row is at most t, word by word
-// with early cutoff — the allocation-free form of bitvec.DistanceAtMost
-// for one side living in an Addr.
-func addrDistanceAtMost(a *cellprobe.Addr, row bitvec.Vector, t int) bool {
-	n := 0
-	for i := range row {
-		n += bits.OnesCount64(a.Word(i) ^ row[i])
-		if n > t {
-			return false
-		}
-	}
-	return true
 }

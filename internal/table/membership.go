@@ -47,26 +47,27 @@ func (m *Membership) Address(x bitvec.Vector) cellprobe.Addr {
 	return cellprobe.VecAddr(cellprobe.MemberTag(m.radius), x)
 }
 
-// EvalCell implements cellprobe.Evaler; it runs only on memo misses. The key lookup and the radius-1 scan
-// both compare the address payload words in place, so even a miss
-// allocates nothing.
+// EvalCell implements cellprobe.Evaler; it runs only on memo misses. The
+// address payload is copied once to the stack; the key lookup and the
+// radius-1 scan both work on those flat words, so a miss allocates nothing
+// (for points up to cellprobe.AddrWords words).
 func (m *Membership) EvalCell(addr cellprobe.Addr) cellprobe.Word {
 	if addr.Len() != m.db.RowWords {
 		// Malformed addresses do not occur in the model; EMPTY defensively.
 		return cellprobe.EmptyWord
 	}
-	if i, ok := m.index.lookupAddr(&addr); ok {
+	var buf [cellprobe.AddrWords]uint64
+	key := addr.AppendPayload(buf[:0])
+	if i, ok := m.index.lookup(key); ok {
 		return cellprobe.PointWord(i)
 	}
 	if m.radius == 0 {
 		return cellprobe.EmptyWord
 	}
-	// Radius 1: the cell for x stores any z ∈ B with dist(x, z) ≤ 1. A scan
-	// with early cutoff reproduces what preprocessing would store.
-	for i, n := 0, m.db.Rows(); i < n; i++ {
-		if addrDistanceAtMost(&addr, m.db.Row(i), 1) {
-			return cellprobe.PointWord(i)
-		}
+	// Radius 1: the cell for x stores any z ∈ B with dist(x, z) ≤ 1; the
+	// first match in database order is what preprocessing would store.
+	if i := m.db.FirstWithin(key, 1); i >= 0 {
+		return cellprobe.PointWord(i)
 	}
 	return cellprobe.EmptyWord
 }
