@@ -112,27 +112,7 @@ func (ms *MutableSharded) Delete(g uint64) (bool, error) {
 // per-shard answers — each already a stable local ID — through the
 // round-robin translation, with the shared merge accounting.
 func (ms *MutableSharded) Query(x Point) (Result, error) {
-	sc := acquireShardScratch(len(ms.shards))
-	defer shardScratchPool.Put(sc)
-	var wg sync.WaitGroup
-	for s := range ms.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			res, err := ms.shards[s].Query(x)
-			sc.results[s] = res
-			sc.ok[s] = err == nil
-		}(s)
-	}
-	wg.Wait()
-	for s, r := range sc.results {
-		sc.replies[s] = ShardReply{Result: r, OK: sc.ok[s]}
-	}
-	out := MergeShardReplies(sc.replies, ms.global)
-	if out.Index < 0 {
-		return out, errors.New("anns: query failed on every shard")
-	}
-	return out, nil
+	return fanOut(ms.shards, ms.global, x, false, 0)
 }
 
 // QueryScratch implements the server's scratch surface; the fan-out runs
@@ -145,33 +125,7 @@ func (ms *MutableSharded) QueryScratch(x Point, _ *Scratch) (Result, error) {
 // shard (closest witness wins) beats NO; NO only when every shard
 // answered NO; errors surface only when no shard answered at all.
 func (ms *MutableSharded) QueryNear(x Point, lambda float64) (Result, error) {
-	sc := acquireShardScratch(len(ms.shards))
-	defer shardScratchPool.Put(sc)
-	var wg sync.WaitGroup
-	for s := range ms.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			res, err := ms.shards[s].QueryNear(x, lambda)
-			sc.results[s] = res
-			sc.errs[s] = err
-			sc.ok[s] = err == nil && res.Index >= 0
-		}(s)
-	}
-	wg.Wait()
-	for s, r := range sc.results {
-		sc.replies[s] = ShardReply{Result: r, OK: sc.ok[s]}
-	}
-	out := MergeShardReplies(sc.replies, ms.global)
-	if out.Index < 0 {
-		for _, err := range sc.errs {
-			if err == nil {
-				return out, nil // NO is an answer
-			}
-		}
-		return out, fmt.Errorf("anns: near query failed on every shard: %w", sc.errs[0])
-	}
-	return out, nil
+	return fanOut(ms.shards, ms.global, x, true, lambda)
 }
 
 // QueryNearScratch is the λ-ANNS counterpart of QueryScratch.

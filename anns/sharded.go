@@ -103,84 +103,90 @@ func BuildSharded(points []Point, shards int, opts Options) (*ShardedIndex, erro
 }
 
 // shardScratch is the reusable fan-out state of one sharded query: the
-// per-shard result slots and the reply buffer the merge folds over.
-// Pooled so the merge path does not reallocate them per call.
+// reply buffer the merge folds over and the per-shard errors the
+// NO-vs-error rule reads. Pooled so the merge path does not reallocate
+// them per call.
 type shardScratch struct {
-	results []Result
-	ok      []bool
-	errs    []error
 	replies []ShardReply
+	errs    []error
 }
 
 var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
 func acquireShardScratch(n int) *shardScratch {
 	s := shardScratchPool.Get().(*shardScratch)
-	if cap(s.results) < n {
-		s.results = make([]Result, n)
-		s.ok = make([]bool, n)
-		s.errs = make([]error, n)
+	if cap(s.replies) < n {
 		s.replies = make([]ShardReply, n)
+		s.errs = make([]error, n)
 	}
-	s.results = s.results[:n]
-	s.ok = s.ok[:n]
-	s.errs = s.errs[:n]
 	s.replies = s.replies[:n]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
+	s.errs = s.errs[:n]
 	return s
 }
 
-// mergeShardResults folds per-shard outcomes into one logical Result.
-// ok[s] marks shards whose query succeeded (for QueryNear, returned YES).
-// The fold itself is the exported MergeShardReplies, shared with the
-// distributed coordinator so remote merges stay byte-identical. replies
-// is the caller's reuse buffer (the query paths pass their scratch's);
-// nil allocates.
-func (sx *ShardedIndex) mergeShardResults(results []Result, ok []bool, replies []ShardReply) Result {
-	if cap(replies) < len(results) {
-		replies = make([]ShardReply, len(results))
+// shardQuerier is one shard of a fan-out: *Index under ShardedIndex,
+// *MutableIndex under MutableSharded.
+type shardQuerier interface {
+	Query(x Point) (Result, error)
+	QueryNear(x Point, lambda float64) (Result, error)
+}
+
+// fanOut is the one in-process shard fan-out: it asks every shard
+// concurrently (the nearest-neighbor query, or the λ-near decision when
+// near is set), folds the replies with MergeShardReplies — the fold the
+// distributed coordinator shares, so remote merges stay byte-identical —
+// and applies the failure rule once. A shard-level failure can at worst
+// hide that shard's candidate, degrading the answer the same way one lost
+// repetition degrades a boosted single index; the call fails only when no
+// shard produced an answer. For the λ-near decision NO is an answer and
+// an error is not: the result is NO (Index -1, nil error) unless every
+// shard errored.
+//
+// It is generic over the shard type rather than taking a per-shard
+// closure so the hot path allocates nothing beyond its goroutines. Each
+// shard goroutine draws its own pooled query context; a caller-held
+// Scratch cannot be shared across the concurrent fan-out.
+func fanOut[S shardQuerier](shards []S, global func(shard, local int) int, x Point, near bool, lambda float64) (Result, error) {
+	sc := acquireShardScratch(len(shards))
+	defer shardScratchPool.Put(sc)
+	var wg sync.WaitGroup
+	for s := range shards {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			if near {
+				res, err := shards[s].QueryNear(x, lambda)
+				sc.errs[s] = err
+				sc.replies[s] = ShardReply{Result: res, OK: err == nil && res.Index >= 0}
+				return
+			}
+			res, err := shards[s].Query(x)
+			sc.errs[s] = err
+			sc.replies[s] = ShardReply{Result: res, OK: err == nil}
+		}(s)
 	}
-	replies = replies[:len(results)]
-	for s, r := range results {
-		replies[s] = ShardReply{Result: r, OK: ok[s]}
+	wg.Wait()
+	out := MergeShardReplies(sc.replies, global)
+	if out.Index >= 0 {
+		return out, nil
 	}
-	g := sx.globalFn
-	if g == nil { // hand-assembled index (tests); cold path may allocate
-		g = func(s, j int) int { return int(sx.global[s][j]) }
+	if !near {
+		return out, errors.New("anns: query failed on every shard")
 	}
-	return MergeShardReplies(replies, g)
+	for _, err := range sc.errs {
+		if err == nil {
+			return out, nil
+		}
+	}
+	return out, fmt.Errorf("anns: near query failed on every shard: %w", sc.errs[0])
 }
 
 // Query fans x out to every shard concurrently and returns the closest
 // answer across shards, with aggregated accounting (Rounds = max over
 // shards, Probes and MaxParallel summed). It fails only when every shard
-// fails; a shard-level failure can at worst hide that shard's candidate,
-// degrading the answer the same way one lost repetition degrades a
-// boosted single index.
+// fails.
 func (sx *ShardedIndex) Query(x Point) (Result, error) {
-	sc := acquireShardScratch(len(sx.shards))
-	defer shardScratchPool.Put(sc)
-	var wg sync.WaitGroup
-	for s := range sx.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			// Each shard goroutine draws its own pooled query context;
-			// a caller-held Scratch cannot be shared across the
-			// concurrent fan-out.
-			res, err := sx.shards[s].Query(x)
-			sc.results[s] = res
-			sc.ok[s] = err == nil
-		}(s)
-	}
-	wg.Wait()
-	out := sx.mergeShardResults(sc.results, sc.ok, sc.replies)
-	if out.Index < 0 {
-		return out, errors.New("anns: query failed on every shard")
-	}
-	return out, nil
+	return fanOut(sx.shards, sx.globalFn, x, false, 0)
 }
 
 // QueryScratch implements the Scratch-taking query surface uniformly with
@@ -201,31 +207,7 @@ func (sx *ShardedIndex) QueryNearScratch(x Point, lambda float64, _ *Scratch) (R
 // logical answer is NO only when every shard answers NO. Shard-level
 // errors surface only if no shard produced an answer at all.
 func (sx *ShardedIndex) QueryNear(x Point, lambda float64) (Result, error) {
-	sc := acquireShardScratch(len(sx.shards))
-	defer shardScratchPool.Put(sc)
-	var wg sync.WaitGroup
-	for s := range sx.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			res, err := sx.shards[s].QueryNear(x, lambda)
-			sc.results[s] = res
-			sc.errs[s] = err
-			sc.ok[s] = err == nil && res.Index >= 0
-		}(s)
-	}
-	wg.Wait()
-	out := sx.mergeShardResults(sc.results, sc.ok, sc.replies)
-	if out.Index < 0 {
-		// All shards said NO (or errored); NO is an answer, errors are not.
-		for _, err := range sc.errs {
-			if err == nil {
-				return out, nil
-			}
-		}
-		return out, fmt.Errorf("anns: near query failed on every shard: %w", sc.errs[0])
-	}
-	return out, nil
+	return fanOut(sx.shards, sx.globalFn, x, true, lambda)
 }
 
 // BatchQuery answers many queries over a fixed worker pool, each worker

@@ -66,7 +66,14 @@ func TestShardedMergeAccounting(t *testing.T) {
 		{Index: 0, Distance: 4, Rounds: 3, Probes: 7, MaxParallel: 4},
 		{Index: 1, Distance: 6, Rounds: 1, Probes: 20, MaxParallel: 20},
 	}
-	out := sx.mergeShardResults(results, []bool{true, true, true}, nil)
+	merge := func(ok ...bool) Result {
+		replies := make([]ShardReply, len(results))
+		for s, r := range results {
+			replies[s] = ShardReply{Result: r, OK: ok[s]}
+		}
+		return MergeShardReplies(replies, sx.GlobalIndex)
+	}
+	out := merge(true, true, true)
 	if out.Rounds != 3 {
 		t.Errorf("rounds = %d, want max 3", out.Rounds)
 	}
@@ -81,7 +88,7 @@ func TestShardedMergeAccounting(t *testing.T) {
 	}
 
 	// A failed shard contributes accounting but never the answer.
-	out = sx.mergeShardResults(results, []bool{false, false, true}, nil)
+	out = merge(false, false, true)
 	if out.Index != 5 || out.Distance != 6 {
 		t.Errorf("answer = (%d, %d), want global index 5 at distance 6", out.Index, out.Distance)
 	}
@@ -90,7 +97,7 @@ func TestShardedMergeAccounting(t *testing.T) {
 	}
 
 	// All shards failed: no answer, full charge.
-	out = sx.mergeShardResults(results, []bool{false, false, false}, nil)
+	out = merge(false, false, false)
 	if out.Index != -1 || out.Distance != -1 {
 		t.Errorf("want no answer, got (%d, %d)", out.Index, out.Distance)
 	}

@@ -112,13 +112,15 @@ func main() {
 	// Emit the same stats schema internal/server serves at /statsz, so
 	// CLI runs and server runs can be diffed field for field.
 	snap := server.StatsSnapshot{
-		UptimeMS:    qtime.Milliseconds(),
-		Queries:     int64(nq),
-		Errors:      int64(failed),
-		Probes:      int64(totalProbes),
-		Rounds:      int64(totalRounds),
-		MaxRounds:   int64(maxRounds),
-		MaxParallel: int64(maxParallel),
+		ReadStats: server.ReadStats{
+			UptimeMS:    qtime.Milliseconds(),
+			Queries:     int64(nq),
+			Errors:      int64(failed),
+			Probes:      int64(totalProbes),
+			Rounds:      int64(totalRounds),
+			MaxRounds:   int64(maxRounds),
+			MaxParallel: int64(maxParallel),
+		},
 		IndexSource: "built",
 		IndexLoadMS: buildDur.Milliseconds(),
 	}

@@ -19,10 +19,14 @@
 //     parallelism summed), keeping the paper's adaptivity/efficiency
 //     tradeoff observable at serving scale.
 //   - repro/internal/server (service layer): an HTTP API (POST
-//     /v1/query, /v1/batch, /v1/near; GET /healthz, /statsz) with a
-//     bounded admission queue, a fixed worker pool reusing the BatchQuery
-//     pool pattern, per-request context deadlines, and atomic QPS /
-//     error-rate / probe counters.
+//     /v1/query, /v1/batch, /v1/near; GET /healthz, /statsz). The read
+//     endpoints are one front end (server.FrontEnd: decode, validate,
+//     result cache, deadline, counters, tracing, encode) that calls a
+//     Backend for the execute stage; the shard server's backend is a
+//     bounded admission queue feeding a fixed worker pool, and
+//     internal/router mounts the same front end over its own backend,
+//     the shard scatter — so both tiers answer, count and trace a
+//     request identically (DESIGN.md §13).
 //   - cmd/annsd and cmd/annsload (load layer): the serving daemon over
 //     generated or annsgen workloads, and a closed-loop / open-loop
 //     (Poisson, target-QPS ramp) load harness reporting log-bucketed

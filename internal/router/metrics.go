@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
-	"repro/internal/server"
 )
 
 // buildRegistry wires the router's /metricsz: every /statsz field as a
@@ -19,14 +18,14 @@ func (rt *Router) buildRegistry() {
 	counter := func(name, help string, v func() int64) {
 		reg.CounterFunc(name, help, nil, func() float64 { return float64(v()) })
 	}
-	counter("anns_router_queries_total", "Merged point queries served (including cache hits).", rt.m.queries.Load)
-	counter("anns_router_near_total", "Merged near (lambda) queries served.", rt.m.near.Load)
-	counter("anns_router_batches_total", "Batch requests served.", rt.m.batches.Load)
-	counter("anns_router_errors_total", "Merged queries that failed on every shard.", rt.m.errors.Load)
-	counter("anns_router_rejected_total", "Requests rejected at max in-flight.", rt.m.rejected.Load)
-	counter("anns_router_deadline_exceeded_total", "Requests that hit their end-to-end deadline.", rt.m.deadline.Load)
-	counter("anns_router_probes_total", "Cells probed across merged answers.", rt.m.probes.Load)
-	counter("anns_router_rounds_total", "Probing rounds across merged answers.", rt.m.rounds.Load)
+	counter("anns_router_queries_total", "Merged point queries served (including cache hits).", rt.fe.C.Queries.Load)
+	counter("anns_router_near_total", "Merged near (lambda) queries served.", rt.fe.C.Near.Load)
+	counter("anns_router_batches_total", "Batch requests served.", rt.fe.C.Batches.Load)
+	counter("anns_router_errors_total", "Merged queries that failed on every shard.", rt.fe.C.Errors.Load)
+	counter("anns_router_rejected_total", "Requests rejected at max in-flight.", rt.fe.C.Rejected.Load)
+	counter("anns_router_deadline_exceeded_total", "Requests that hit their end-to-end deadline.", rt.fe.C.DeadlineExceeded.Load)
+	counter("anns_router_probes_total", "Cells probed across merged answers.", rt.fe.C.Probes.Load)
+	counter("anns_router_rounds_total", "Probing rounds across merged answers.", rt.fe.C.Rounds.Load)
 	counter("anns_router_writes_total", "Acked mutations.", rt.m.writes.Load)
 	counter("anns_router_write_errors_total", "Failed mutations.", rt.m.writeErrors.Load)
 	counter("anns_router_replicated_frames_total", "WAL frames relayed to replicas.", rt.m.replications.Load)
@@ -38,9 +37,9 @@ func (rt *Router) buildRegistry() {
 	reg.GaugeFunc("anns_router_in_flight", "Admitted requests currently in flight.", nil,
 		func() float64 { return float64(len(rt.sem)) })
 	reg.GaugeFunc("anns_router_max_rounds", "Max probing rounds seen on one merged query.", nil,
-		func() float64 { return float64(rt.m.maxRounds.Load()) })
+		func() float64 { return float64(rt.fe.C.MaxRounds.Load()) })
 	reg.GaugeFunc("anns_router_max_parallel", "Max intra-query parallelism seen.", nil,
-		func() float64 { return float64(rt.m.maxParallel.Load()) })
+		func() float64 { return float64(rt.fe.C.MaxParallel.Load()) })
 	reg.GaugeFunc("anns_router_epoch", "Placement epoch (bumped on promotion).", nil,
 		func() float64 { return float64(rt.epoch.Load()) })
 	reg.GaugeFunc("anns_router_shards", "Shard positions routed.", nil,
@@ -71,27 +70,8 @@ func (rt *Router) buildRegistry() {
 			"Winning shard RPC latency (exact LogHistogram).", lbl, sh.rpc)
 	}
 
-	if rt.cache != nil {
-		cacheVal := func(v func(server.CacheStats) float64) func() float64 {
-			return func() float64 {
-				if cs := server.CacheStatsOf(rt.cache); cs != nil {
-					return v(*cs)
-				}
-				return 0
-			}
-		}
-		reg.CounterFunc("anns_router_cache_hits_total", "Result-cache hits.", nil,
-			cacheVal(func(c server.CacheStats) float64 { return float64(c.Hits) }))
-		reg.CounterFunc("anns_router_cache_misses_total", "Result-cache misses.", nil,
-			cacheVal(func(c server.CacheStats) float64 { return float64(c.Misses) }))
-		reg.CounterFunc("anns_router_cache_evictions_total", "Result-cache LRU evictions.", nil,
-			cacheVal(func(c server.CacheStats) float64 { return float64(c.Evictions) }))
-		reg.CounterFunc("anns_router_cache_invalidations_total", "Result-cache generation invalidations.", nil,
-			cacheVal(func(c server.CacheStats) float64 { return float64(c.Invalidations) }))
-		reg.GaugeFunc("anns_router_cache_entries", "Live result-cache entries.", nil,
-			cacheVal(func(c server.CacheStats) float64 { return float64(c.Entries) }))
-	}
+	rt.fe.RegisterCache(reg, "anns_router_")
 
 	rt.hMerge = reg.Histogram("anns_router_stage_seconds", "Per-stage router latency.", obs.Labels{"stage": "merge"})
-	rt.hCache = reg.Histogram("anns_router_stage_seconds", "Per-stage router latency.", obs.Labels{"stage": "cache_lookup"})
+	rt.fe.CacheHist = reg.Histogram("anns_router_stage_seconds", "Per-stage router latency.", obs.Labels{"stage": "cache_lookup"})
 }

@@ -24,13 +24,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/anns"
-	"repro/internal/cellprobe"
 	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/server"
@@ -189,37 +188,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metrics is the router's merged-query counter block (same accounting as
-// internal/server's, over merged logical answers).
+// metrics is the router's write-path counter block; the merged-query
+// counters are the front end's server.ReadCounters (same accounting as a
+// shard server's, over merged logical answers).
 type metrics struct {
-	queries, near, batches atomic.Int64
-	errors, rejected       atomic.Int64
-	deadline               atomic.Int64
-	probes, rounds         atomic.Int64
-	maxRounds, maxParallel atomic.Int64
-
 	writes, writeErrors           atomic.Int64
 	replications, replicationErrs atomic.Int64
 	promotions                    atomic.Int64
-}
-
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-func (m *metrics) record(res anns.Result, failed bool) {
-	m.probes.Add(int64(res.Probes))
-	m.rounds.Add(int64(res.Rounds))
-	atomicMax(&m.maxRounds, int64(res.Rounds))
-	atomicMax(&m.maxParallel, int64(res.MaxParallel))
-	if failed {
-		m.errors.Add(1)
-	}
 }
 
 // Router is the shard-scatter coordinator. Construct with New, expose
@@ -237,13 +212,12 @@ type Router struct {
 	once   sync.Once
 	start  time.Time
 	m      metrics
-	cache  *qcache.Cache // nil when Config.CacheEntries == 0
+	fe     *server.FrontEnd // the read endpoints; rt is its Backend
 
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	// Stage histograms: shard-reply merge and cache lookup. Per-shard
-	// RPC histograms live on each shard (replica.go).
-	hMerge, hCache *obs.Histogram
+	reg *obs.Registry
+	// Stage histogram of the shard-reply merge (the front end holds cache
+	// lookup's). Per-shard RPC histograms live on each shard (replica.go).
+	hMerge *obs.Histogram
 
 	// Write-path state (writes.go). Mutations are serialized under
 	// writeMu — global ID assignment is an order, and sequential
@@ -257,9 +231,6 @@ type Router struct {
 	writesStarted atomic.Bool
 	wgen          atomic.Uint64
 	epoch         atomic.Uint64
-
-	httpMu sync.Mutex
-	httpS  *http.Server
 }
 
 // New builds a Router over cfg.Replicas and starts the health prober.
@@ -298,7 +269,15 @@ func New(cfg Config) (*Router, error) {
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 		start:  clock.Now(),
-		cache:  qcache.New(cfg.CacheEntries),
+	}
+	rt.fe = &server.FrontEnd{
+		Backend:        rt,
+		Dimension:      cfg.Dimension,
+		MaxBatch:       cfg.MaxBatch,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		Cache:          qcache.New(cfg.CacheEntries),
+		Tracer:         obs.NewTracer(cfg.Trace),
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{Transport: &http.Transport{
@@ -326,14 +305,11 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Manifest != nil {
 		rt.epoch.Store(cfg.Manifest.Epoch)
 	}
-	rt.mux.HandleFunc("POST /v1/query", rt.handleQuery)
-	rt.mux.HandleFunc("POST /v1/near", rt.handleNear)
-	rt.mux.HandleFunc("POST /v1/batch", rt.handleBatch)
+	rt.fe.Routes(rt.mux)
 	rt.mux.HandleFunc("POST /v1/insert", rt.handleInsert)
 	rt.mux.HandleFunc("POST /v1/delete", rt.handleDelete)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
 	rt.mux.HandleFunc("GET /statsz", rt.handleStats)
-	rt.tracer = obs.NewTracer(cfg.Trace)
 	rt.buildRegistry()
 	rt.mux.Handle("GET /metricsz", rt.reg)
 	// One synchronous sweep before serving: without it, every replica
@@ -350,27 +326,11 @@ func New(cfg Config) (*Router, error) {
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // ListenAndServe serves on addr until Close or a listener error.
-func (rt *Router) ListenAndServe(addr string) error {
-	hs := &http.Server{Addr: addr, Handler: rt.mux}
-	rt.httpMu.Lock()
-	rt.httpS = hs
-	rt.httpMu.Unlock()
-	err := hs.ListenAndServe()
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
+func (rt *Router) ListenAndServe(addr string) error { return rt.fe.ListenAndServe(addr, rt.mux) }
 
 // Shutdown gracefully drains the HTTP listener, then stops the prober.
 func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.httpMu.Lock()
-	hs := rt.httpS
-	rt.httpMu.Unlock()
-	var err error
-	if hs != nil {
-		err = hs.Shutdown(ctx)
-	}
+	err := rt.fe.Shutdown(ctx)
 	rt.Close()
 	return err
 }
@@ -739,7 +699,7 @@ func (rt *Router) postTraced(ctx context.Context, url string, body []byte, trace
 	}
 	defer resp.Body.Close()
 	spans := resp.Header.Get(obs.SpansHeader)
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxBodyBytes))
 	if err != nil {
 		return nil, "", err
 	}
@@ -774,397 +734,157 @@ func (rt *Router) rebaseRemoteSpans(tr *obs.Trace, res attemptResult) {
 
 // ---- scatter-gather ----
 
-// fromWire converts a shard's wire answer back into the anns accounting.
-func fromWire(qr server.QueryResponse) anns.Result {
-	return anns.Result{
-		Index:       qr.Index,
-		Distance:    qr.Distance,
-		Rounds:      qr.Rounds,
-		Probes:      qr.Probes,
-		MaxParallel: qr.MaxParallel,
-	}
-}
-
-func toWire(res anns.Result, errMsg string) server.QueryResponse {
-	return server.QueryResponse{
-		Index:       res.Index,
-		Distance:    res.Distance,
-		Rounds:      res.Rounds,
-		Probes:      res.Probes,
-		MaxParallel: res.MaxParallel,
-		Error:       errMsg,
-	}
-}
-
-// scatterOne fans one raw /v1/query or /v1/near body out to every shard
-// and merges. near selects the λ-decision OK semantics (YES answers
-// only). answered reports whether at least one shard produced an answer
-// (for near, a NO from a shard counts as answered).
-func (rt *Router) scatterOne(ctx context.Context, path string, body []byte, near bool, tr *obs.Trace) (merged anns.Result, answered bool) {
-	replies := make([]anns.ShardReply, len(rt.shards))
-	wireOK := make([]bool, len(rt.shards)) // shard answered at all (Error == "")
-	valid := func(raw []byte) bool {
-		var qr server.QueryResponse
-		return json.Unmarshal(raw, &qr) == nil
-	}
+// scatter is the one router fan-out: it sends body to path on every
+// shard concurrently (each through shardDo's hedging and failover) and
+// hands every 200 body to each(s, raw) on that shard's goroutine, so the
+// replies decode in parallel; a shard that failed on every replica is
+// skipped — no accounting, no candidate. each must only touch slot s.
+func (rt *Router) scatter(ctx context.Context, path string, body []byte, valid func([]byte) bool, tr *obs.Trace, each func(s int, raw []byte)) {
 	var wg sync.WaitGroup
 	for s := range rt.shards {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			raw, err := rt.shardDo(ctx, rt.shards[s], path, body, valid, tr)
-			if err != nil {
-				return // transport-level failure: no accounting, not OK
+			if raw, err := rt.shardDo(ctx, rt.shards[s], path, body, valid, tr); err == nil {
+				each(s, raw)
 			}
-			var qr server.QueryResponse
-			if err := json.Unmarshal(raw, &qr); err != nil {
-				return
-			}
-			res := fromWire(qr)
-			wireOK[s] = qr.Error == ""
-			ok := qr.Error == ""
-			if near {
-				ok = ok && qr.Index >= 0 // YES answers carry the witness
-			}
-			replies[s] = anns.ShardReply{Result: res, OK: ok}
 		}(s)
 	}
 	wg.Wait()
-	mStart := rt.clock.Now()
-	merged = anns.MergeShardReplies(replies, rt.global)
-	mDur := rt.clock.Since(mStart)
-	rt.hMerge.Observe(mDur)
-	tr.Add("merge", "", "ok", mStart, mDur)
-	for _, ok := range wireOK {
-		if ok {
-			answered = true
-			break
-		}
-	}
-	return merged, answered
 }
 
-// ---- HTTP handlers ----
+// ---- the read front end's backend ----
 
-// writeJSON and the body/deadline limits are internal/server's own
-// (WriteJSON, MaxBodyBytes, ClampTimeout), so the two tiers cannot
-// drift apart on schema, caps, or clamp semantics.
+// writeJSON and the body limits are internal/server's own (WriteJSON,
+// ReadBody, MaxBodyBytes), so the two tiers cannot drift apart on schema
+// or caps.
 var writeJSON = server.WriteJSON
 
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
-		return nil, false
-	}
-	return body, true
-}
-
-// admit reserves one in-flight slot, or writes the 503 and reports false.
-func (rt *Router) admit(w http.ResponseWriter) bool {
+// admit reserves one in-flight slot; the caller releases it. A full
+// router is the tier's 503.
+func (rt *Router) admit() *server.Failure {
 	select {
 	case rt.sem <- struct{}{}:
-		return true
+		return nil
 	default:
-		rt.m.rejected.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "router at max in-flight"})
-		return false
+		return &server.Failure{Status: http.StatusServiceUnavailable, Message: "router at max in-flight", Outcome: "rejected"}
 	}
 }
 
 func (rt *Router) release() { <-rt.sem }
 
-// timeout resolves the end-to-end deadline from the optional timeout_ms.
-func (rt *Router) timeout(ms int) time.Duration {
-	return server.ClampTimeout(ms, rt.cfg.DefaultTimeout, rt.cfg.MaxTimeout)
+// Now is the router's Clock, so span offsets are exact under
+// VirtualClock.
+func (rt *Router) Now() time.Time { return rt.clock.Now() }
+
+// Generation is the router's write generation: constant over immutable
+// snapshots (every cache entry stays valid forever), bumped on every
+// acked mutation over a replicated cluster (every entry from before the
+// write misses).
+func (rt *Router) Generation() uint64 { return rt.wgen.Load() }
+
+var errQueryFailed = errors.New("router: query failed on every shard")
+
+func validQuery(raw []byte) bool {
+	var qr server.QueryResponse
+	return json.Unmarshal(raw, &qr) == nil
 }
 
-// beginTrace starts a trace for one router request: a client- or
-// test-supplied X-Anns-Trace is adopted verbatim (deterministic IDs for
-// the propagation test), otherwise the router mints one when its tracer
-// is on. The root instant comes from the router's Clock so span offsets
-// are exact under VirtualClock.
-func (rt *Router) beginTrace(r *http.Request, start time.Time) *obs.Trace {
-	if id := r.Header.Get(obs.TraceHeader); id != "" {
-		return obs.NewTrace(id, start)
-	}
-	return rt.tracer.Begin("", start)
-}
-
-// finishTrace stamps the trace ID on the response, echoes the assembled
-// span timeline when the request carried its own trace header, and emits
-// through the tracer. Must run before the response body is written.
-func (rt *Router) finishTrace(w http.ResponseWriter, r *http.Request, tr *obs.Trace, start time.Time) {
-	if tr == nil {
-		return
-	}
-	w.Header().Set(obs.TraceHeader, tr.ID())
-	if r.Header.Get(obs.TraceHeader) != "" {
-		if enc := obs.EncodeSpans(tr.Spans()); enc != "" {
-			w.Header().Set(obs.SpansHeader, enc)
-		}
-	}
-	rt.tracer.Finish(tr, r.URL.Path, rt.clock.Since(start))
-}
-
-// lookupCache is the router cache read plus stage accounting.
-func (rt *Router) lookupCache(key cellprobe.Addr, gen uint64, tr *obs.Trace) (server.QueryResponse, bool) {
-	if rt.cache == nil {
-		return server.QueryResponse{}, false
-	}
-	cStart := rt.clock.Now()
-	v, ok := rt.cache.Get(key, gen)
-	d := rt.clock.Since(cStart)
-	rt.hCache.Observe(d)
-	outcome := "miss"
-	if ok {
-		outcome = "hit"
-	}
-	tr.Add("cache_lookup", "", outcome, cStart, d)
-	if !ok {
-		return server.QueryResponse{}, false
-	}
-	return v.(server.QueryResponse), true
-}
-
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := rt.clock.Now()
-	tr := rt.beginTrace(r, start)
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req server.QueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	x, err := server.DecodePoint(req.Point, rt.cfg.Dimension)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	// Cached replies live at the router's write generation: constant over
-	// immutable snapshots (every entry stays valid forever), bumped on
-	// every acked mutation over a replicated cluster (every entry from
-	// before the write misses). The generation is read *before* the
-	// scatter — the §10.4 safe direction: a write landing mid-scatter
-	// advances the generation past the one this entry is stored at, so a
-	// stale answer can be cached but never served.
-	gen := rt.wgen.Load()
-	key := server.QueryCacheKey(x)
-	if v, ok := rt.lookupCache(key, gen, tr); ok {
-		rt.m.queries.Add(1)
-		rt.finishTrace(w, r, tr, start)
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	if !rt.admit(w) {
-		return
+// ExecQuery is the router's execute stage for /v1/query and /v1/near: the
+// request body is forwarded verbatim (both ends speak internal/server's
+// wire schema) and the shard answers are folded with MergeShardReplies.
+// It mirrors the in-process fan-out's failure rule: for near, NO is an
+// answer (some shard answered, none said YES), an error is not.
+func (rt *Router) ExecQuery(ctx context.Context, q server.ReadRequest, tr *obs.Trace) (server.QueryResponse, *server.Failure) {
+	if f := rt.admit(); f != nil {
+		return server.QueryResponse{}, f
 	}
 	defer rt.release()
-	ctx, cancel := context.WithTimeout(r.Context(), rt.timeout(req.TimeoutMS))
-	defer cancel()
-	// The shard request body is the router request body: both ends speak
-	// internal/server's wire schema, so the point is forwarded verbatim.
-	merged, _ := rt.scatterOne(ctx, "/v1/query", body, false, tr)
-	if rt.deadlineExpired(w, ctx) {
-		return
-	}
-	rt.m.queries.Add(1)
-	failed := merged.Index < 0
-	rt.m.record(merged, failed)
-	msg := ""
-	if failed {
-		msg = "router: query failed on every shard"
-	}
-	resp := toWire(merged, msg)
-	if !failed {
-		rt.cache.Put(key, gen, resp)
-	}
-	rt.finishTrace(w, r, tr, start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// deadlineExpired mirrors internal/server's admit path: a request whose
-// end-to-end deadline passed gets 504, not a 200 with an error body, so
-// clients and load balancers see identical status semantics from both
-// tiers.
-func (rt *Router) deadlineExpired(w http.ResponseWriter, ctx context.Context) bool {
-	if err := ctx.Err(); err != nil {
-		rt.m.deadline.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: err.Error()})
-		return true
-	}
-	return false
-}
-
-func (rt *Router) handleNear(w http.ResponseWriter, r *http.Request) {
-	start := rt.clock.Now()
-	tr := rt.beginTrace(r, start)
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req server.NearRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	if req.Lambda <= 0 {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "lambda must be positive"})
-		return
-	}
-	x, err := server.DecodePoint(req.Point, rt.cfg.Dimension)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	gen := rt.wgen.Load()
-	key := server.NearCacheKey(x, req.Lambda)
-	if v, ok := rt.lookupCache(key, gen, tr); ok {
-		rt.m.near.Add(1)
-		rt.finishTrace(w, r, tr, start)
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	if !rt.admit(w) {
-		return
-	}
-	defer rt.release()
-	ctx, cancel := context.WithTimeout(r.Context(), rt.timeout(req.TimeoutMS))
-	defer cancel()
-	merged, answered := rt.scatterOne(ctx, "/v1/near", body, true, tr)
-	if rt.deadlineExpired(w, ctx) {
-		return
-	}
-	rt.m.near.Add(1)
-	// Mirror ShardedIndex.QueryNear: NO is an answer (all shards answered
-	// NO), an error is not (no shard answered at all).
-	failed := merged.Index < 0 && !answered
-	rt.m.record(merged, failed)
-	msg := ""
-	if failed {
-		msg = "router: near query failed on every shard"
-	}
-	resp := toWire(merged, msg)
-	if !failed {
-		rt.cache.Put(key, gen, resp)
-	}
-	rt.finishTrace(w, r, tr, start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := rt.clock.Now()
-	tr := rt.beginTrace(r, start)
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req server.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	if len(req.Points) == 0 {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "empty points"})
-		return
-	}
-	if len(req.Points) > rt.cfg.MaxBatch {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			server.ErrorResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Points), rt.cfg.MaxBatch)})
-		return
-	}
-	for i, enc := range req.Points {
-		if _, err := server.DecodePoint(enc, rt.cfg.Dimension); err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				server.ErrorResponse{Error: fmt.Sprintf("point %d: %v", i, err)})
+	near := q.Lambda > 0
+	replies := make([]anns.ShardReply, len(rt.shards))
+	wireOK := make([]bool, len(rt.shards)) // shard answered at all (Error == "")
+	rt.scatter(ctx, q.Path, q.Body, validQuery, tr, func(s int, raw []byte) {
+		var qr server.QueryResponse
+		if json.Unmarshal(raw, &qr) != nil {
 			return
 		}
+		wireOK[s] = qr.Error == ""
+		// For near only YES answers carry a witness to merge.
+		replies[s] = anns.ShardReply{Result: qr.Result(), OK: wireOK[s] && (!near || qr.Index >= 0)}
+	})
+	mStart := rt.clock.Now()
+	merged := anns.MergeShardReplies(replies, rt.global)
+	mDur := rt.clock.Since(mStart)
+	rt.hMerge.Observe(mDur)
+	tr.Add("merge", "", "ok", mStart, mDur)
+	// A request whose end-to-end deadline passed gets 504, not a 200 with
+	// an error body: the same status semantics as a shard server.
+	if f := server.Expired(ctx); f != nil {
+		return server.QueryResponse{}, f
 	}
-	if !rt.admit(w) {
-		return
+	var err error
+	switch {
+	case merged.Index >= 0 || near && slices.Contains(wireOK, true):
+	case near:
+		err = errors.New("router: near query failed on every shard")
+	default:
+		err = errQueryFailed
+	}
+	return server.ToResponse(merged, err), nil
+}
+
+// ExecBatch is the execute stage for /v1/batch: one batch request per
+// shard (the whole batch is each shard's fan-out unit), merged point-wise
+// afterwards.
+func (rt *Router) ExecBatch(ctx context.Context, q server.ReadRequest, tr *obs.Trace) (server.BatchResponse, *server.Failure) {
+	if f := rt.admit(); f != nil {
+		return server.BatchResponse{}, f
 	}
 	defer rt.release()
-	ctx, cancel := context.WithTimeout(r.Context(), rt.timeout(req.TimeoutMS))
-	defer cancel()
-
-	// One batch request per shard (the whole batch is each shard's
-	// fan-out unit), merged point-wise afterwards. The validator also
-	// checks the result count, so a truncated-but-parseable frame fails
-	// over instead of dropping the shard from every slot's merge.
-	valid := func(raw []byte) bool {
+	// The validator also checks the result count, so a truncated-but-
+	// parseable frame fails over instead of dropping the shard from every
+	// slot's merge.
+	decode := func(raw []byte) []server.QueryResponse {
 		var br server.BatchResponse
-		return json.Unmarshal(raw, &br) == nil && len(br.Results) == len(req.Points)
+		if json.Unmarshal(raw, &br) != nil || len(br.Results) != len(q.Points) {
+			return nil
+		}
+		return br.Results
 	}
+	valid := func(raw []byte) bool { return decode(raw) != nil }
 	shardResults := make([][]server.QueryResponse, len(rt.shards))
-	var wg sync.WaitGroup
-	for s := range rt.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			raw, err := rt.shardDo(ctx, rt.shards[s], "/v1/batch", body, valid, tr)
-			if err != nil {
-				return
-			}
-			var br server.BatchResponse
-			if err := json.Unmarshal(raw, &br); err != nil || len(br.Results) != len(req.Points) {
-				return
-			}
-			shardResults[s] = br.Results
-		}(s)
+	rt.scatter(ctx, q.Path, q.Body, valid, tr, func(s int, raw []byte) { shardResults[s] = decode(raw) })
+	if f := server.Expired(ctx); f != nil {
+		return server.BatchResponse{}, f
 	}
-	wg.Wait()
-	if rt.deadlineExpired(w, ctx) {
-		return
-	}
-
-	rt.m.batches.Add(1)
-	resp := server.BatchResponse{Results: make([]server.QueryResponse, len(req.Points))}
+	resp := server.BatchResponse{Results: make([]server.QueryResponse, len(q.Points))}
 	replies := make([]anns.ShardReply, len(rt.shards))
-	for i := range req.Points {
-		shed := false
-		for s := range rt.shards {
+	for i := range resp.Results {
+		shed := ""
+		for s, rs := range shardResults {
 			replies[s] = anns.ShardReply{}
-			if rs := shardResults[s]; rs != nil {
-				qr := rs[i]
-				replies[s] = anns.ShardReply{Result: fromWire(qr), OK: qr.Error == ""}
-				if isCancelMsg(qr.Error) {
-					shed = true
+			if rs != nil {
+				replies[s] = anns.ShardReply{Result: rs[i].Result(), OK: rs[i].Error == ""}
+				if server.ShedSlot(rs[i].Error) {
+					shed = rs[i].Error
 				}
 			}
 		}
 		merged := anns.MergeShardReplies(replies, rt.global)
-		failed := merged.Index < 0
-		// Mirror internal/server's batch accounting: slots a shard's
-		// deadline cancelled before dispatch were shed, not executed —
-		// charging them to errors would corrupt error_rate (the scheme's
-		// failure probability, not load shedding).
-		if failed && shed {
-			resp.Results[i] = toWire(merged, "router: query shed by shard deadline")
-			continue
+		var err error
+		switch {
+		case merged.Index >= 0:
+		case shed != "":
+			// A slot a shard's deadline cancelled before dispatch was shed,
+			// not executed; carrying the shard's text keeps it recognizable
+			// to server.ShedSlot, so it is not charged to errors.
+			err = errors.New("router: query shed by shard deadline: " + shed)
+		default:
+			err = errQueryFailed
 		}
-		rt.m.queries.Add(1)
-		rt.m.record(merged, failed)
-		msg := ""
-		if failed {
-			msg = "router: query failed on every shard"
-		}
-		resp.Results[i] = toWire(merged, msg)
+		resp.Results[i] = server.ToResponse(merged, err)
 	}
-	rt.finishTrace(w, r, tr, start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// isCancelMsg recognizes a shard slot whose error is context
-// cancellation (load shedding), which travels as text over the wire.
-func isCancelMsg(msg string) bool {
-	if msg == "" {
-		return false
-	}
-	return strings.Contains(msg, context.Canceled.Error()) ||
-		strings.Contains(msg, context.DeadlineExceeded.Error())
+	return resp, nil
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -1179,19 +899,8 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // Stats returns the current rollup (also served at /statsz).
 func (rt *Router) Stats() Stats {
-	up := rt.clock.Since(rt.start)
 	out := Stats{
-		UptimeMS:         up.Milliseconds(),
-		Queries:          rt.m.queries.Load(),
-		Near:             rt.m.near.Load(),
-		Batches:          rt.m.batches.Load(),
-		Errors:           rt.m.errors.Load(),
-		Rejected:         rt.m.rejected.Load(),
-		DeadlineExceeded: rt.m.deadline.Load(),
-		Probes:           rt.m.probes.Load(),
-		Rounds:           rt.m.rounds.Load(),
-		MaxRounds:        rt.m.maxRounds.Load(),
-		MaxParallel:      rt.m.maxParallel.Load(),
+		ReadStats:        rt.fe.C.Stats(rt.clock.Since(rt.start)),
 		InFlight:         len(rt.sem),
 		Writes:           rt.m.writes.Load(),
 		WriteErrors:      rt.m.writeErrors.Load(),
@@ -1200,12 +909,6 @@ func (rt *Router) Stats() Stats {
 		Promotions:       rt.m.promotions.Load(),
 		Epoch:            rt.epoch.Load(),
 		Durability:       rt.cfg.Durability,
-	}
-	if sec := up.Seconds(); sec > 0 {
-		out.QPS = float64(out.Queries+out.Near) / sec
-	}
-	if total := out.Queries + out.Near; total > 0 {
-		out.ErrorRate = float64(out.Errors) / float64(total)
 	}
 	var shardReqs int64
 	for _, sh := range rt.shards {
@@ -1244,7 +947,7 @@ func (rt *Router) Stats() Stats {
 	if shardReqs > 0 {
 		out.HedgeRate = float64(out.Hedges) / float64(shardReqs)
 	}
-	out.Cache = server.CacheStatsOf(rt.cache)
+	out.Cache = server.CacheStatsOf(rt.fe.Cache)
 	return out
 }
 

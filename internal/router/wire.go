@@ -8,19 +8,7 @@ import "repro/internal/server"
 // router adds the distribution-layer rollups: hedging, failover,
 // admission, and per-shard/per-replica state.
 type Stats struct {
-	UptimeMS         int64   `json:"uptime_ms"`
-	Queries          int64   `json:"queries"`
-	Near             int64   `json:"near"`
-	Batches          int64   `json:"batches"`
-	Errors           int64   `json:"errors"`
-	Rejected         int64   `json:"rejected"`
-	DeadlineExceeded int64   `json:"deadline_exceeded"`
-	Probes           int64   `json:"probes"`
-	Rounds           int64   `json:"rounds"`
-	MaxRounds        int64   `json:"max_rounds"`
-	MaxParallel      int64   `json:"max_parallel"`
-	QPS              float64 `json:"qps"`
-	ErrorRate        float64 `json:"error_rate"`
+	server.ReadStats
 
 	InFlight  int     `json:"in_flight"`
 	Hedges    int64   `json:"hedges"`

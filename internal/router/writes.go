@@ -38,13 +38,9 @@ import (
 // handleInsert serves POST /v1/insert at the router: route to the
 // shard's primary, relay the frame, answer with the *global* ID.
 func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	var req server.InsertRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	body, ok := server.ReadBody(w, r, &req)
+	if !ok {
 		return
 	}
 	x, err := server.DecodePoint(req.Point, rt.cfg.Dimension)
@@ -52,7 +48,8 @@ func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return
 	}
-	if !rt.admit(w) {
+	if f := rt.admit(); f != nil {
+		rt.fe.WriteFailure(w, f)
 		return
 	}
 	defer rt.release()
@@ -119,20 +116,16 @@ func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
 // handleDelete serves POST /v1/delete at the router. The client's ID is
 // global; the primary sees the shard-local translation.
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	var req server.DeleteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	if _, ok := server.ReadBody(w, r, &req); !ok {
 		return
 	}
 	if req.ID == nil {
 		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "missing id"})
 		return
 	}
-	if !rt.admit(w) {
+	if f := rt.admit(); f != nil {
+		rt.fe.WriteFailure(w, f)
 		return
 	}
 	defer rt.release()

@@ -5,15 +5,17 @@ import (
 
 	"repro/anns"
 	"repro/internal/cellprobe"
+	"repro/internal/obs"
 	"repro/internal/qcache"
 )
 
 // Result caching (DESIGN.md §10).
 //
-// The serving layer can put a qcache.Cache in front of the worker pool:
-// a hit answers from memory without touching the admission queue, the
-// index, or a worker scratch — under zipfian traffic that is most
-// requests. Three properties make this safe:
+// The read front end (frontend.go) can put a qcache.Cache in front of a
+// tier's backend: a hit answers from memory without touching the
+// admission queue, the index, or a worker scratch (on the router: without
+// scattering) — under zipfian traffic that is most requests. Three
+// properties make this safe:
 //
 //   - The key is a collision-free fingerprint of the request: the packed
 //     query point words (the full input, not a digest) under a tag that
@@ -44,17 +46,9 @@ type generationer interface {
 	Generation() uint64
 }
 
-// generation returns the served index's current epoch.
-func (s *Server) generation() uint64 {
-	if s.gen != nil {
-		return s.gen.Generation()
-	}
-	return 0
-}
-
-// QueryCacheKey fingerprints a /v1/query request. Exported so the router
-// tier caches under the exact same key derivation — one fingerprint
-// definition for the whole serving stack.
+// QueryCacheKey fingerprints a /v1/query request: one fingerprint
+// definition for the whole serving stack (both tiers cache through the
+// front end; the benchmark's cache micro-rows key with it too).
 func QueryCacheKey(x anns.Point) cellprobe.Addr {
 	return cellprobe.VecAddr(cellprobe.GenericTag(cacheKindQuery), x)
 }
@@ -67,32 +61,6 @@ func NearCacheKey(x anns.Point, lambda float64) cellprobe.Addr {
 	b.Uint(math.Float64bits(lambda))
 	b.Vec(x)
 	return b.Addr()
-}
-
-// cacheGet consults the cache for key at the current generation,
-// returning the reply to re-serve and the generation to stamp on a miss's
-// eventual Put. The generation is captured BEFORE the query executes: if
-// a mutation lands mid-query the stored reply is tagged with the older
-// epoch and post-mutation readers miss (the safe direction).
-func (s *Server) cacheGet(key cellprobe.Addr) (resp QueryResponse, gen uint64, ok bool) {
-	if s.cache == nil {
-		return QueryResponse{}, 0, false
-	}
-	gen = s.generation()
-	v, hit := s.cache.Get(key, gen)
-	if !hit {
-		return QueryResponse{}, gen, false
-	}
-	return v.(QueryResponse), gen, true
-}
-
-// cachePut stores a successful reply stamped with the pre-execution
-// generation. Error replies are not cached.
-func (s *Server) cachePut(key cellprobe.Addr, gen uint64, resp QueryResponse) {
-	if s.cache == nil || resp.Error != "" {
-		return
-	}
-	s.cache.Put(key, gen, resp)
 }
 
 // CacheStats is /statsz's result-cache block (present only when the
@@ -123,4 +91,28 @@ func CacheStatsOf(c *qcache.Cache) *CacheStats {
 		Capacity:      st.Capacity,
 		HitRate:       st.HitRate(),
 	}
+}
+
+// RegisterCache exposes the front end's result cache on /metricsz as
+// <prefix>cache_* series reading the same snapshot /statsz serves (no
+// series when caching is off).
+func (fe *FrontEnd) RegisterCache(reg *obs.Registry, prefix string) {
+	if fe.Cache == nil {
+		return
+	}
+	stat := func(v func(CacheStats) float64) func() float64 {
+		return func() float64 { return v(*CacheStatsOf(fe.Cache)) }
+	}
+	reg.CounterFunc(prefix+"cache_hits_total", "Result-cache hits.", nil,
+		stat(func(c CacheStats) float64 { return float64(c.Hits) }))
+	reg.CounterFunc(prefix+"cache_misses_total", "Result-cache misses.", nil,
+		stat(func(c CacheStats) float64 { return float64(c.Misses) }))
+	reg.CounterFunc(prefix+"cache_evictions_total", "Result-cache LRU evictions.", nil,
+		stat(func(c CacheStats) float64 { return float64(c.Evictions) }))
+	reg.CounterFunc(prefix+"cache_invalidations_total", "Result-cache generation invalidations.", nil,
+		stat(func(c CacheStats) float64 { return float64(c.Invalidations) }))
+	reg.GaugeFunc(prefix+"cache_entries", "Live result-cache entries.", nil,
+		stat(func(c CacheStats) float64 { return float64(c.Entries) }))
+	reg.GaugeFunc(prefix+"cache_capacity", "Result-cache capacity.", nil,
+		stat(func(c CacheStats) float64 { return float64(c.Capacity) }))
 }

@@ -18,14 +18,14 @@ func (s *Server) buildRegistry() {
 	counter := func(name, help string, v func() int64) {
 		reg.CounterFunc(name, help, nil, func() float64 { return float64(v()) })
 	}
-	counter("anns_queries_total", "Point queries served (including cache hits).", s.m.queries.Load)
-	counter("anns_near_total", "Near (lambda) queries served.", s.m.near.Load)
-	counter("anns_batches_total", "Batch requests served.", s.m.batches.Load)
-	counter("anns_errors_total", "Query executions that returned an error.", s.m.errors.Load)
-	counter("anns_rejected_total", "Requests rejected with a full admission queue.", s.m.rejected.Load)
-	counter("anns_deadline_exceeded_total", "Requests that hit their deadline before execution finished.", s.m.deadline.Load)
-	counter("anns_probes_total", "Cells probed across all queries.", s.m.probes.Load)
-	counter("anns_rounds_total", "Probing rounds across all queries.", s.m.rounds.Load)
+	counter("anns_queries_total", "Point queries served (including cache hits).", s.fe.C.Queries.Load)
+	counter("anns_near_total", "Near (lambda) queries served.", s.fe.C.Near.Load)
+	counter("anns_batches_total", "Batch requests served.", s.fe.C.Batches.Load)
+	counter("anns_errors_total", "Query executions that returned an error.", s.fe.C.Errors.Load)
+	counter("anns_rejected_total", "Requests rejected with a full admission queue.", s.fe.C.Rejected.Load)
+	counter("anns_deadline_exceeded_total", "Requests that hit their deadline before execution finished.", s.fe.C.DeadlineExceeded.Load)
+	counter("anns_probes_total", "Cells probed across all queries.", s.fe.C.Probes.Load)
+	counter("anns_rounds_total", "Probing rounds across all queries.", s.fe.C.Rounds.Load)
 	counter("anns_inserts_total", "Accepted inserts.", s.m.inserts.Load)
 	counter("anns_deletes_total", "Accepted deletes.", s.m.deletes.Load)
 	counter("anns_mutation_errors_total", "Failed mutations.", s.m.mutErrors.Load)
@@ -35,9 +35,9 @@ func (s *Server) buildRegistry() {
 	reg.GaugeFunc("anns_uptime_seconds", "Process uptime.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("anns_max_rounds", "Max probing rounds seen on one query.", nil,
-		func() float64 { return float64(s.m.maxRounds.Load()) })
+		func() float64 { return float64(s.fe.C.MaxRounds.Load()) })
 	reg.GaugeFunc("anns_max_parallel", "Max intra-query parallelism seen.", nil,
-		func() float64 { return float64(s.m.maxParallel.Load()) })
+		func() float64 { return float64(s.fe.C.MaxParallel.Load()) })
 	reg.GaugeFunc("anns_queue_depth", "Tasks waiting in the admission queue.", nil,
 		func() float64 { return float64(len(s.queue)) })
 	reg.GaugeFunc("anns_workers", "Worker pool size.", nil,
@@ -52,32 +52,7 @@ func (s *Server) buildRegistry() {
 			func() float64 { return float64(s.cfg.Index.MappedBytes) })
 	}
 
-	if s.cache != nil {
-		cacheCounter := func(name, help string, v func(CacheStats) uint64) {
-			reg.CounterFunc(name, help, nil, func() float64 {
-				if cs := CacheStatsOf(s.cache); cs != nil {
-					return float64(v(*cs))
-				}
-				return 0
-			})
-		}
-		cacheCounter("anns_cache_hits_total", "Result-cache hits.", func(c CacheStats) uint64 { return c.Hits })
-		cacheCounter("anns_cache_misses_total", "Result-cache misses.", func(c CacheStats) uint64 { return c.Misses })
-		cacheCounter("anns_cache_evictions_total", "Result-cache LRU evictions.", func(c CacheStats) uint64 { return c.Evictions })
-		cacheCounter("anns_cache_invalidations_total", "Result-cache generation invalidations.", func(c CacheStats) uint64 { return c.Invalidations })
-		reg.GaugeFunc("anns_cache_entries", "Live result-cache entries.", nil, func() float64 {
-			if cs := CacheStatsOf(s.cache); cs != nil {
-				return float64(cs.Entries)
-			}
-			return 0
-		})
-		reg.GaugeFunc("anns_cache_capacity", "Result-cache capacity.", nil, func() float64 {
-			if cs := CacheStatsOf(s.cache); cs != nil {
-				return float64(cs.Capacity)
-			}
-			return 0
-		})
-	}
+	s.fe.RegisterCache(reg, "anns_")
 
 	if ms, ok := s.idx.(mutableStatser); ok {
 		mg := func(name, help string, v func() float64) { reg.GaugeFunc(name, help, nil, v) }
@@ -96,5 +71,5 @@ func (s *Server) buildRegistry() {
 
 	s.hWait = reg.Histogram("anns_stage_seconds", "Per-stage serving latency.", obs.Labels{"stage": "admission_wait"})
 	s.hExec = reg.Histogram("anns_stage_seconds", "Per-stage serving latency.", obs.Labels{"stage": "execute"})
-	s.hCache = reg.Histogram("anns_stage_seconds", "Per-stage serving latency.", obs.Labels{"stage": "cache_lookup"})
+	s.fe.CacheHist = reg.Histogram("anns_stage_seconds", "Per-stage serving latency.", obs.Labels{"stage": "cache_lookup"})
 }

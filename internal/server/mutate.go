@@ -33,7 +33,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InsertRequest
-	if !readBody(w, r, &req) {
+	if _, ok := ReadBody(w, r, &req); !ok {
 		return
 	}
 	x, err := DecodePoint(req.Point, s.cfg.Dimension)
@@ -66,7 +66,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeleteRequest
-	if !readBody(w, r, &req) {
+	if _, ok := ReadBody(w, r, &req); !ok {
 		return
 	}
 	if req.ID == nil {

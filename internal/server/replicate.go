@@ -45,7 +45,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReplicateRequest
-	if !readBody(w, r, &req) {
+	if _, ok := ReadBody(w, r, &req); !ok {
 		return
 	}
 	raw, err := base64.StdEncoding.DecodeString(req.Frames)
@@ -86,7 +86,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FramesRequest
-	if !readBody(w, r, &req) {
+	if _, ok := ReadBody(w, r, &req); !ok {
 		return
 	}
 	var offset uint64

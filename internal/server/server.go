@@ -17,8 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -26,7 +24,6 @@ import (
 	"time"
 
 	"repro/anns"
-	"repro/internal/cellprobe"
 	"repro/internal/obs"
 	"repro/internal/qcache"
 )
@@ -163,34 +160,11 @@ type task struct {
 	exec      time.Duration
 }
 
-// metrics is the server's atomic counter block, exported via /statsz.
+// metrics is the server's write-side counter block; the read side is the
+// front end's ReadCounters. Both are exported via /statsz.
 type metrics struct {
-	queries, batches, near      atomic.Int64
-	errors, rejected, deadline  atomic.Int64
-	probes, rounds              atomic.Int64
-	maxRounds, maxParallel      atomic.Int64
 	inserts, deletes, mutErrors atomic.Int64
 	replFrames, replErrors      atomic.Int64
-}
-
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// record folds one answered query into the counters.
-func (m *metrics) record(res anns.Result, err error) {
-	m.probes.Add(int64(res.Probes))
-	m.rounds.Add(int64(res.Rounds))
-	atomicMax(&m.maxRounds, int64(res.Rounds))
-	atomicMax(&m.maxParallel, int64(res.MaxParallel))
-	if err != nil {
-		m.errors.Add(1)
-	}
 }
 
 // Server is the HTTP serving layer. Construct with New, expose with
@@ -205,19 +179,14 @@ type Server struct {
 	once  sync.Once
 	start time.Time
 	m     metrics
+	fe    *FrontEnd    // the read endpoints; s is its Backend
+	gen   generationer // nil when the index is immutable (epoch 0)
 
-	cache *qcache.Cache // nil when Config.CacheEntries == 0
-	gen   generationer  // nil when the index is immutable (epoch 0)
-
-	reg    *obs.Registry
-	tracer *obs.Tracer
+	reg *obs.Registry
 	// Per-stage latency histograms (exact LogHistogram distributions,
-	// exposed on /metricsz): admission-queue wait, index execution, and
-	// cache lookup.
-	hWait, hExec, hCache *obs.Histogram
-
-	httpMu sync.Mutex
-	httpS  *http.Server
+	// exposed on /metricsz): admission-queue wait and index execution
+	// (the front end holds cache lookup's).
+	hWait, hExec *obs.Histogram
 }
 
 // New builds a Server over idx and starts its worker pool.
@@ -236,16 +205,21 @@ func New(idx Searcher, cfg Config) (*Server, error) {
 		queue: make(chan *task, cfg.QueueDepth),
 		quit:  make(chan struct{}),
 		start: time.Now(),
-		cache: qcache.New(cfg.CacheEntries),
+	}
+	s.fe = &FrontEnd{
+		Backend:        s,
+		Dimension:      cfg.Dimension,
+		MaxBatch:       cfg.MaxBatch,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		Cache:          qcache.New(cfg.CacheEntries),
+		Tracer:         obs.NewTracer(cfg.Trace),
 	}
 	if g, ok := idx.(generationer); ok {
 		s.gen = g
 	}
-	s.tracer = obs.NewTracer(cfg.Trace)
 	s.buildRegistry()
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/near", s.handleNear)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	s.fe.Routes(s.mux)
 	s.mux.HandleFunc("POST /v1/insert", s.handleInsert)
 	s.mux.HandleFunc("POST /v1/delete", s.handleDelete)
 	s.mux.HandleFunc("POST /v1/replicate", s.handleReplicate)
@@ -295,7 +269,7 @@ func (s *Server) runTask(t *task, sc *anns.Scratch) {
 	defer close(t.done)
 	defer func() {
 		if r := recover(); r != nil {
-			s.m.errors.Add(1)
+			s.fe.C.Errors.Add(1)
 		}
 	}()
 	t.execStart = time.Now()
@@ -313,17 +287,7 @@ func (s *Server) runTask(t *task, sc *anns.Scratch) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // ListenAndServe serves on addr until Shutdown or a listener error.
-func (s *Server) ListenAndServe(addr string) error {
-	hs := &http.Server{Addr: addr, Handler: s.mux}
-	s.httpMu.Lock()
-	s.httpS = hs
-	s.httpMu.Unlock()
-	err := hs.ListenAndServe()
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
+func (s *Server) ListenAndServe(addr string) error { return s.fe.ListenAndServe(addr, s.mux) }
 
 // Shutdown gracefully stops serving: it closes the listener to new
 // requests, waits (up to ctx) for in-flight HTTP requests — and hence
@@ -332,13 +296,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // returns every admitted request has been answered, which is what makes
 // SIGTERM teardown (and the distributed smoke's `kill`) deterministic.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.httpMu.Lock()
-	hs := s.httpS
-	s.httpMu.Unlock()
-	var err error
-	if hs != nil {
-		err = hs.Shutdown(ctx)
-	}
+	err := s.fe.Shutdown(ctx)
 	s.Close()
 	return err
 }
@@ -351,15 +309,9 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// timeout resolves the per-request deadline from the optional timeout_ms.
-func (s *Server) timeout(ms int) time.Duration {
-	return ClampTimeout(ms, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-}
-
-// ClampTimeout resolves a client-requested timeout_ms against a default
-// and a cap. Exported so the router front end applies the exact same
-// deadline semantics as this server — one clamp, two tiers.
-func ClampTimeout(ms int, def, max time.Duration) time.Duration {
+// clampTimeout resolves a client-requested timeout_ms against a default
+// and a cap: the front end's deadline rule, hence both tiers'.
+func clampTimeout(ms int, def, max time.Duration) time.Duration {
 	if ms <= 0 {
 		return def
 	}
@@ -386,33 +338,61 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 
 func writeJSON(w http.ResponseWriter, code int, v any) { WriteJSON(w, code, v) }
 
-func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	if err == nil {
-		err = json.Unmarshal(body, v)
+// Now and Generation are the front end's readings of this tier: wall
+// time, and the served index's mutation epoch (constant 0 for an
+// immutable index — its cache entries never invalidate).
+func (s *Server) Now() time.Time { return time.Now() }
+
+func (s *Server) Generation() uint64 {
+	if s.gen != nil {
+		return s.gen.Generation()
 	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
-		return false
-	}
-	return true
+	return 0
 }
 
-// admit queues run under a deadline of d and waits for it to finish.
-// It writes the 503/504 error answers itself and reports whether the
-// caller may write the success answer. When tr is non-nil the admission
-// wait and execution stages are appended to it as spans.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, d time.Duration, tr *obs.Trace, run func(ctx context.Context, sc *anns.Scratch)) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	t := &task{ctx: ctx, run: func(sc *anns.Scratch) { run(ctx, sc) }, done: make(chan struct{}), enq: time.Now()}
+// ExecQuery is this tier's execute stage for /v1/query and /v1/near: one
+// admitted task on a pool worker, run on the worker's scratch.
+func (s *Server) ExecQuery(ctx context.Context, q ReadRequest, tr *obs.Trace) (QueryResponse, *Failure) {
+	var resp QueryResponse
+	if f := s.admit(ctx, tr, func(sc *anns.Scratch) {
+		if q.Lambda > 0 {
+			resp = ToResponse(s.queryNear(sc, q.Point, q.Lambda))
+		} else {
+			resp = ToResponse(s.query(sc, q.Point))
+		}
+	}); f != nil {
+		// The worker may still be writing resp; it is not ours to read.
+		return QueryResponse{}, f
+	}
+	return resp, nil
+}
+
+// ExecBatch is the execute stage for /v1/batch: one admitted task that
+// runs the index's own intra-batch pool under the request deadline.
+func (s *Server) ExecBatch(ctx context.Context, q ReadRequest, tr *obs.Trace) (BatchResponse, *Failure) {
+	var resp BatchResponse
+	if f := s.admit(ctx, tr, func(*anns.Scratch) {
+		batch := s.idx.BatchQueryContext(ctx, q.Points, s.cfg.BatchWorkers)
+		resp.Results = make([]QueryResponse, len(batch))
+		for i, b := range batch {
+			resp.Results[i] = ToResponse(b.Result, b.Err)
+		}
+	}); f != nil {
+		return BatchResponse{}, f
+	}
+	return resp, nil
+}
+
+// admit queues run under ctx's deadline and waits for it to finish. A
+// nil return means run completed and its results may be read; otherwise
+// the Failure says why the request was never answered. When tr is non-nil
+// the admission wait and execution stages are appended to it as spans.
+func (s *Server) admit(ctx context.Context, tr *obs.Trace, run func(sc *anns.Scratch)) *Failure {
+	t := &task{ctx: ctx, run: run, done: make(chan struct{}), enq: time.Now()}
 	select {
 	case s.queue <- t:
 	default:
-		s.m.rejected.Add(1)
-		tr.Add("admit", "", "rejected", time.Now(), 0)
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "admission queue full"})
-		return false
+		return &Failure{Status: http.StatusServiceUnavailable, Message: "admission queue full", Outcome: "rejected"}
 	}
 	select {
 	case <-t.done:
@@ -422,191 +402,15 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, d time.Duration, 
 		if t.ran {
 			tr.Add("admission_wait", "", "ok", t.enq, t.wait)
 			tr.Add("execute", "", "ok", t.execStart, t.exec)
-			return true
+			return nil
 		}
 	case <-ctx.Done():
 	}
-	if err := ctx.Err(); err != nil {
-		s.m.deadline.Add(1)
-		tr.Add("admit", "", "deadline", t.enq, time.Since(t.enq))
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: err.Error()})
-	} else {
-		// done closed, not ran, context live: the task panicked.
-		tr.Add("execute", "", "panic", t.execStart, 0)
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "internal error"})
+	if f := Expired(ctx); f != nil {
+		return f
 	}
-	return false
-}
-
-// beginTrace starts a trace for one request: adopting the upstream
-// router's X-Anns-Trace when present (so spans always flow back to the
-// tier assembling the timeline), else minting one locally when this
-// server's own tracer is on.
-func (s *Server) beginTrace(r *http.Request, start time.Time) *obs.Trace {
-	if id := r.Header.Get(obs.TraceHeader); id != "" {
-		return obs.NewTrace(id, start)
-	}
-	return s.tracer.Begin("", start)
-}
-
-// finishTrace emits tr and, when the request carried an upstream trace
-// header, returns the collected spans on the response so the router can
-// rebase them into its own timeline. Must run before the response body
-// is written.
-func (s *Server) finishTrace(w http.ResponseWriter, r *http.Request, tr *obs.Trace, start time.Time) {
-	if tr == nil {
-		return
-	}
-	if r.Header.Get(obs.TraceHeader) != "" {
-		if enc := obs.EncodeSpans(tr.Spans()); enc != "" {
-			w.Header().Set(obs.SpansHeader, enc)
-		}
-	}
-	s.tracer.Finish(tr, r.URL.Path, time.Since(start))
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tr := s.beginTrace(r, start)
-	var req QueryRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	x, err := DecodePoint(req.Point, s.cfg.Dimension)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	key := QueryCacheKey(x)
-	cached, gen, ok := s.lookupCache(key, tr)
-	if ok {
-		// A hit bypasses the admission queue and the worker pool entirely;
-		// it still counts as a served query, but adds no probe/round
-		// accounting — no cells were probed.
-		s.m.queries.Add(1)
-		s.finishTrace(w, r, tr, start)
-		writeJSON(w, http.StatusOK, cached)
-		return
-	}
-	var resp QueryResponse
-	if !s.admit(w, r, s.timeout(req.TimeoutMS), tr, func(_ context.Context, sc *anns.Scratch) {
-		res, qerr := s.query(sc, x)
-		s.m.queries.Add(1)
-		s.m.record(res, qerr)
-		resp = toResponse(res, qerr)
-	}) {
-		return
-	}
-	s.cachePut(key, gen, resp)
-	s.finishTrace(w, r, tr, start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// lookupCache is cacheGet plus stage accounting: the lookup latency
-// lands in the cache_lookup histogram and, when traced, a span.
-func (s *Server) lookupCache(key cellprobe.Addr, tr *obs.Trace) (QueryResponse, uint64, bool) {
-	if s.cache == nil {
-		return QueryResponse{}, 0, false
-	}
-	cStart := time.Now()
-	resp, gen, ok := s.cacheGet(key)
-	d := time.Since(cStart)
-	s.hCache.Observe(d)
-	outcome := "miss"
-	if ok {
-		outcome = "hit"
-	}
-	tr.Add("cache_lookup", "", outcome, cStart, d)
-	return resp, gen, ok
-}
-
-func (s *Server) handleNear(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tr := s.beginTrace(r, start)
-	var req NearRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	if req.Lambda <= 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "lambda must be positive"})
-		return
-	}
-	x, err := DecodePoint(req.Point, s.cfg.Dimension)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	key := NearCacheKey(x, req.Lambda)
-	cached, gen, ok := s.lookupCache(key, tr)
-	if ok {
-		s.m.near.Add(1)
-		s.finishTrace(w, r, tr, start)
-		writeJSON(w, http.StatusOK, cached)
-		return
-	}
-	var resp QueryResponse
-	if !s.admit(w, r, s.timeout(req.TimeoutMS), tr, func(_ context.Context, sc *anns.Scratch) {
-		res, qerr := s.queryNear(sc, x, req.Lambda)
-		s.m.near.Add(1)
-		s.m.record(res, qerr)
-		resp = toResponse(res, qerr)
-	}) {
-		return
-	}
-	s.cachePut(key, gen, resp)
-	s.finishTrace(w, r, tr, start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tr := s.beginTrace(r, start)
-	var req BatchRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	if len(req.Points) == 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "empty points"})
-		return
-	}
-	if len(req.Points) > s.cfg.MaxBatch {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			ErrorResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Points), s.cfg.MaxBatch)})
-		return
-	}
-	xs := make([]anns.Point, len(req.Points))
-	for i, enc := range req.Points {
-		x, err := DecodePoint(enc, s.cfg.Dimension)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				ErrorResponse{Error: fmt.Sprintf("point %d: %v", i, err)})
-			return
-		}
-		xs[i] = x
-	}
-	var resp BatchResponse
-	if !s.admit(w, r, s.timeout(req.TimeoutMS), tr, func(ctx context.Context, _ *anns.Scratch) {
-		batch := s.idx.BatchQueryContext(ctx, xs, s.cfg.BatchWorkers)
-		s.m.batches.Add(1)
-		resp.Results = make([]QueryResponse, len(batch))
-		executed := int64(0)
-		for i, b := range batch {
-			resp.Results[i] = toResponse(b.Result, b.Err)
-			// Slots the deadline cancelled before dispatch never ran a
-			// query; charging them to errors would corrupt error_rate
-			// (the scheme's failure probability, not load shedding).
-			if errors.Is(b.Err, context.Canceled) || errors.Is(b.Err, context.DeadlineExceeded) {
-				continue
-			}
-			executed++
-			s.m.record(b.Result, b.Err)
-		}
-		s.m.queries.Add(executed)
-	}) {
-		return
-	}
-	s.finishTrace(w, r, tr, start)
-	writeJSON(w, http.StatusOK, resp)
+	// done closed, not ran, context live: the task panicked.
+	return &Failure{Status: http.StatusInternalServerError, Message: "internal error", Outcome: "panic"}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -640,19 +444,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // Stats returns the current counter snapshot (also served at /statsz).
 func (s *Server) Stats() StatsSnapshot {
-	up := time.Since(s.start)
 	snap := StatsSnapshot{
-		UptimeMS:          up.Milliseconds(),
-		Queries:           s.m.queries.Load(),
-		Batches:           s.m.batches.Load(),
-		Near:              s.m.near.Load(),
-		Errors:            s.m.errors.Load(),
-		Rejected:          s.m.rejected.Load(),
-		DeadlineExceeded:  s.m.deadline.Load(),
-		Probes:            s.m.probes.Load(),
-		Rounds:            s.m.rounds.Load(),
-		MaxRounds:         s.m.maxRounds.Load(),
-		MaxParallel:       s.m.maxParallel.Load(),
+		ReadStats:         s.fe.C.Stats(time.Since(s.start)),
 		QueueLen:          len(s.queue),
 		Workers:           s.cfg.Workers,
 		IndexSource:       s.cfg.Index.Source,
@@ -664,7 +457,7 @@ func (s *Server) Stats() StatsSnapshot {
 		MutationErrors:    s.m.mutErrors.Load(),
 		ReplicatedFrames:  s.m.replFrames.Load(),
 		ReplicationErrors: s.m.replErrors.Load(),
-		Cache:             CacheStatsOf(s.cache),
+		Cache:             CacheStatsOf(s.fe.Cache),
 	}
 	if ms, ok := s.idx.(mutableStatser); ok {
 		st := ms.MutableStats()
@@ -682,12 +475,6 @@ func (s *Server) Stats() StatsSnapshot {
 			Generation:        st.Generation,
 			ReplicationOffset: st.ReplicationOffset,
 		}
-	}
-	if sec := up.Seconds(); sec > 0 {
-		snap.QPS = float64(snap.Queries+snap.Near) / sec
-	}
-	if total := snap.Queries + snap.Near; total > 0 {
-		snap.ErrorRate = float64(snap.Errors) / float64(total)
 	}
 	return snap
 }

@@ -167,10 +167,11 @@ type Health struct {
 	ReplicationOffset *uint64 `json:"replication_offset,omitempty"`
 }
 
-// StatsSnapshot is the body of GET /statsz: monotonic totals since start
-// plus derived rates. cmd/annsquery prints the same schema so CLI and
-// server reports line up field for field.
-type StatsSnapshot struct {
+// ReadStats is the read-side block both tiers' /statsz bodies open with:
+// the front end's ReadCounters at one instant plus the two derived rates
+// (qps over served point and near queries; error_rate, the share of them
+// whose reply carried an error — the scheme's failure probability).
+type ReadStats struct {
 	UptimeMS         int64   `json:"uptime_ms"`
 	Queries          int64   `json:"queries"`
 	Batches          int64   `json:"batches"`
@@ -184,8 +185,15 @@ type StatsSnapshot struct {
 	MaxParallel      int64   `json:"max_parallel"`
 	QPS              float64 `json:"qps"`
 	ErrorRate        float64 `json:"error_rate"`
-	QueueLen         int     `json:"queue_len"`
-	Workers          int     `json:"workers"`
+}
+
+// StatsSnapshot is the body of GET /statsz: monotonic totals since start
+// plus derived rates. cmd/annsquery prints the same schema so CLI and
+// server reports line up field for field.
+type StatsSnapshot struct {
+	ReadStats
+	QueueLen int `json:"queue_len"`
+	Workers  int `json:"workers"`
 	// Index provenance (the build→snapshot→serve lifecycle): how the
 	// served index came to be and how long bringing it up took.
 	IndexSource     string `json:"index_source"`
@@ -228,8 +236,10 @@ func DecodePoint(enc string, d int) (anns.Point, error) {
 	return anns.NewPointFromBytes(raw, d)
 }
 
-// toResponse converts an API result + error into the wire schema.
-func toResponse(res anns.Result, err error) QueryResponse {
+// ToResponse converts an API result + error into the wire schema. Both
+// tiers answer through it: a shard server with its index's result, the
+// router with its merged one.
+func ToResponse(res anns.Result, err error) QueryResponse {
 	out := QueryResponse{
 		Index:       res.Index,
 		Distance:    res.Distance,
@@ -241,4 +251,16 @@ func toResponse(res anns.Result, err error) QueryResponse {
 		out.Error = err.Error()
 	}
 	return out
+}
+
+// Result converts a wire answer back into the anns accounting (the
+// router folds shard answers with it).
+func (qr QueryResponse) Result() anns.Result {
+	return anns.Result{
+		Index:       qr.Index,
+		Distance:    qr.Distance,
+		Rounds:      qr.Rounds,
+		Probes:      qr.Probes,
+		MaxParallel: qr.MaxParallel,
+	}
 }
