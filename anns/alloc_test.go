@@ -160,3 +160,43 @@ func TestAllocsScratchReuse(t *testing.T) {
 			got, allocCeilingQuery)
 	}
 }
+
+// TestAllocsBatchQuery8 pins the one-chunk batch (every /v1/batch of the
+// engine-novel workload): it runs on the calling goroutine — no job
+// channel, no worker, no WaitGroup — and everything the round-synchronous
+// executor needs (contexts, group lists, miss lists, transposed keys)
+// comes from pools, so a warm batch allocates its result slice and
+// nothing else. A cold batch adds only what its new cells cost the memos,
+// which grow by doubling and by chunk: amortised, under two allocations
+// per batch of ≈ 50 new cells.
+func TestAllocsBatchQuery8(t *testing.T) {
+	skipIfRace(t)
+	ix, _, queries := allocFixture(t, 128, 256, 4)
+	warm := queries[:8]
+	ix.BatchQuery(warm, 0)
+	if got := testing.AllocsPerRun(100, func() { ix.BatchQuery(warm, 0) }); got > 1 {
+		t.Errorf("warm BatchQuery of 8 allocates %.1f/op, want 1 (the result slice)", got)
+	}
+
+	const runs = 100
+	r := rng.New(72)
+	cold := make([][]Point, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range cold {
+		cold[i] = make([]Point, 8)
+		for j := range cold[i] {
+			cold[i][j] = hamming.AtDistance(r, queries[j], 256, 40)
+		}
+	}
+	before := ix.Space().MaterializedCells
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		ix.BatchQuery(cold[i], 0)
+		i++
+	})
+	if cells := ix.Space().MaterializedCells - before; cells < 20*runs {
+		t.Fatalf("the cold batches materialised %d cells: not cold", cells)
+	}
+	if got > 3 {
+		t.Errorf("cold BatchQuery of 8 allocates %.1f/op, want ≤ 3 (the result slice + amortised memo growth)", got)
+	}
+}

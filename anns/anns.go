@@ -281,7 +281,12 @@ func (ix *Index) QueryScratch(x Point, sc *Scratch) (Result, error) {
 }
 
 func (ix *Index) queryCtx(x Point, c *core.QueryCtx) (Result, error) {
-	res := ix.scheme.QueryWithCtx(x, c)
+	return ix.finish(x, ix.scheme.QueryWithCtx(x, c))
+}
+
+// finish turns the scheme's outcome for query x into the public answer:
+// the accounting, the failure as an error, the distance to the answer.
+func (ix *Index) finish(x Point, res core.Result) (Result, error) {
 	out := toResult(res)
 	if res.Failed() {
 		if res.Err != nil {

@@ -3,6 +3,7 @@ package anns_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -200,5 +201,71 @@ func TestBatchQueryNearContextDeadline(t *testing.T) {
 		if !errors.Is(b.Err, context.DeadlineExceeded) {
 			t.Fatalf("entry %d: err = %v, want deadline exceeded", i, b.Err)
 		}
+	}
+}
+
+// TestBatchQueryConcurrentWithQueries is meaningful under -race: two
+// round-synchronous batches and a stream of single queries share one
+// index's oracles, memos and scratch pools, over overlapping points. Every
+// answer must be the one a twin index gives the query on its own, and the
+// cells materialised the ones the twin's sequential runs materialise.
+func TestBatchQueryConcurrentWithQueries(t *testing.T) {
+	d := 256
+	pts := testPoints(t, d, 90)
+	opts := anns.Options{Dimension: d, Rounds: 3, Seed: 17}
+	idx, err := anns.Build(pts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := anns.Build(pts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(7600)
+	queries := make([]anns.Point, 44)
+	for i := range queries {
+		switch i % 3 {
+		case 0:
+			queries[i] = hamming.AtDistance(r, pts[i], d, 6+i)
+		case 1:
+			queries[i] = hamming.Random(r, d)
+		default:
+			queries[i] = pts[i] // a database point: leaves its chunk in round 1
+		}
+	}
+	var wg sync.WaitGroup
+	batches := [2][]anns.BatchResult{}
+	for b := range batches {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			batches[b] = idx.BatchQuery(queries[b*12:b*12+32], 2) // the two overlap on 20 points
+		}(b)
+	}
+	singles := make([]anns.Result, len(queries))
+	singleErrs := make([]error, len(queries))
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, q := range queries {
+			singles[i], singleErrs[i] = idx.Query(q)
+		}
+	}()
+	wg.Wait()
+	for i, q := range queries {
+		want, wantErr := twin.Query(q)
+		if singles[i] != want || (singleErrs[i] == nil) != (wantErr == nil) {
+			t.Fatalf("query %d alone: %+v (%v), twin says %+v (%v)", i, singles[i], singleErrs[i], want, wantErr)
+		}
+		for b := range batches {
+			if j := i - b*12; j >= 0 && j < 32 {
+				if got := batches[b][j]; got.Result != want || (got.Err == nil) != (wantErr == nil) {
+					t.Fatalf("query %d in batch %d: %+v (%v), twin says %+v (%v)", i, b, got.Result, got.Err, want, wantErr)
+				}
+			}
+		}
+	}
+	if got, want := idx.Space().MaterializedCells, twin.Space().MaterializedCells; got != want {
+		t.Fatalf("concurrent batches and queries materialised %d cells, the sequential twin %d", got, want)
 	}
 }

@@ -109,6 +109,7 @@ func BuildSharded(points []Point, shards int, opts Options) (*ShardedIndex, erro
 type shardScratch struct {
 	replies []ShardReply
 	errs    []error
+	box     panicBox // a shard goroutine's panic, re-raised on the caller's
 }
 
 var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
@@ -142,6 +143,10 @@ type shardQuerier interface {
 // an error is not: the result is NO (Index -1, nil error) unless every
 // shard errored.
 //
+// A panic in a shard's query does not die on the shard's goroutine (which
+// would take the process down): fanOut waits for every shard, then
+// re-raises it on the calling goroutine.
+//
 // It is generic over the shard type rather than taking a per-shard
 // closure so the hot path allocates nothing beyond its goroutines. Each
 // shard goroutine draws its own pooled query context; a caller-held
@@ -154,6 +159,7 @@ func fanOut[S shardQuerier](shards []S, global func(shard, local int) int, x Poi
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			defer sc.box.capture()
 			if near {
 				res, err := shards[s].QueryNear(x, lambda)
 				sc.errs[s] = err
@@ -166,6 +172,7 @@ func fanOut[S shardQuerier](shards []S, global func(shard, local int) int, x Poi
 		}(s)
 	}
 	wg.Wait()
+	sc.box.repanic()
 	out := MergeShardReplies(sc.replies, global)
 	if out.Index >= 0 {
 		return out, nil

@@ -364,6 +364,7 @@ func main() {
 	} else {
 		infof("result cache: disabled")
 	}
+	logger.Info("scan kernel: the table-scan body behind /v1/batch on this CPU", "impl", srv.Stats().ScanKernel)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

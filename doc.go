@@ -61,6 +61,18 @@
 //     schemes' Query methods draw one per call, while the serving layers
 //     (anns batch workers, the HTTP worker pool) hold one per worker via
 //     anns.Scratch and thread it through every query they serve.
+//   - A batch under the non-boosted Algorithm 1 runs round-synchronously
+//     in chunks of 8 (DESIGN.md §14): inside a round every address is
+//     known before anything is read, so the chunk's queries stage round
+//     r together, one joint flush (cellprobe.FlushEach) groups the
+//     probes by table, and each table resolves its cold cells with one
+//     multi-key scan (bitvec.Block.FirstWithinEach — AVX-512 with lanes
+//     = keys where the CPU has it, the loop over FirstWithin elsewhere;
+//     /statsz scan_kernel says which). Algorithm 1 is stated once, as
+//     start/stage/advance over state in core.QueryCtx, and driven by
+//     QueryWithCtx for one query and QueryEachWithCtx for a chunk; every
+//     query's answer and accounting are those of running it alone. The
+//     single-query path takes none of this.
 //
 // The pooling changes no model quantity: accounting invariants are
 // unchanged (per query: Rounds, Probes, ProbesPerRound, BitsRead and

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -76,5 +77,55 @@ func BenchmarkFirstWithin(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 		})
+	}
+}
+
+// BenchmarkFirstWithinEach times one full multi-key scan of a 16 384-row
+// block (no row matches) per body, for the two row widths the benchmark
+// index produces (6-word sketches, 8-word points) and 1 to 8 keys. It
+// rotates over 12 blocks — 9 MB at 6 words, more than the L2 — because a
+// batch round scans a different table each time and one resident block
+// flatters the result. ns/row is the cost of a pass, ns/keyrow that cost
+// per key served.
+func BenchmarkFirstWithinEach(b *testing.B) {
+	const rows, blocks = 16384, 12
+	for _, body := range []string{"portable", "avx512"} {
+		for _, c := range []struct {
+			name       string
+			words, thr int
+		}{
+			{"w=6", 6, 6 * 64 * 2 / 9}, // a ball-table cut; random rows sit near bits/2
+			{"w=8", 8, 1},              // the radius-1 membership cell
+		} {
+			for _, nk := range []int{1, 2, 4, 8} {
+				b.Run(fmt.Sprintf("%s/%s/nk=%d", body, c.name, nk), func(b *testing.B) {
+					if body == "avx512" && !hasVectorScan() {
+						b.Skip("no AVX512F + AVX512_VPOPCNTDQ with OS zmm state on this machine")
+					}
+					useVectorScan(b, body == "avx512")
+					blks := make([]Block, blocks)
+					var keys []uint64
+					for i := range blks {
+						var key []uint64
+						blks[i], key = scanBlock(rows, c.words, int64(i+1))
+						if i < nk {
+							keys = append(keys, key...)
+						}
+					}
+					out := make([]int, nk)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						blks[i%blocks].FirstWithinEach(keys, c.thr, out)
+						if out[0] >= 0 {
+							b.Fatal("unexpected match")
+						}
+					}
+					perRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / rows
+					b.ReportMetric(perRow, "ns/row")
+					b.ReportMetric(perRow/float64(nk), "ns/keyrow")
+				})
+			}
+		}
 	}
 }

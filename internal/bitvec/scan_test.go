@@ -148,6 +148,8 @@ func TestScanKernelKeyWidthMismatchPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { blk.FirstWithin(make([]uint64, 5), 10) },
 		func() { blk.CountWithinRows([]int{0}, make([]uint64, 7), 10) },
+		func() { blk.FirstWithinEach(make([]uint64, 2*5), 10, make([]int, 2)) },
+		func() { blk.FirstWithinEach(make([]uint64, 2*6), 10, make([]int, 3)) },
 	} {
 		func() {
 			defer func() {

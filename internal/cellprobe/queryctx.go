@@ -140,25 +140,48 @@ func (c *QueryCtx) Stage(t Table, a Addr) {
 // the words out) before starting another round. An empty round is
 // rejected: the model has no zero-probe rounds.
 func (c *QueryCtx) Flush() ([]Word, error) {
+	if err := c.openRound(); err != nil {
+		return nil, err
+	}
+	for i := range c.pending {
+		r := &c.pending[i]
+		c.words[i] = r.Table.Lookup(r.Addr)
+	}
+	return c.closeRound(), nil
+}
+
+// Words returns the contents of the last flushed round, in staging order
+// (what Flush returned; the way to read a round resolved by FlushEach).
+func (c *QueryCtx) Words() []Word { return c.words }
+
+// openRound admits the staged round — it must be non-empty and inside the
+// round budget — and sizes the result buffer for it.
+func (c *QueryCtx) openRound() error {
 	if len(c.pending) == 0 {
-		return nil, errors.New("cellprobe: empty probe round")
+		return errors.New("cellprobe: empty probe round")
 	}
 	if c.k > 0 && c.stats.Rounds >= c.k {
 		c.pending = c.pending[:0]
-		return nil, fmt.Errorf("%w: budget k=%d", ErrRoundsExhausted, c.k)
+		return fmt.Errorf("%w: budget k=%d", ErrRoundsExhausted, c.k)
 	}
+	if cap(c.words) < len(c.pending) {
+		c.words = make([]Word, len(c.pending))
+	}
+	c.words = c.words[:len(c.pending)]
+	return nil
+}
+
+// closeRound charges the round whose contents now sit in c.words to the
+// context — the one statement of the model's accounting, whoever resolved
+// the cells — and returns the contents.
+func (c *QueryCtx) closeRound() []Word {
 	refs := c.pending
 	round := c.stats.Rounds
 	c.stats.Rounds++
 	c.stats.Probes += len(refs)
 	c.stats.ProbesPerRound = append(c.stats.ProbesPerRound, len(refs))
-	if cap(c.words) < len(refs) {
-		c.words = make([]Word, len(refs))
-	}
-	c.words = c.words[:len(refs)]
 	for i := range refs {
 		r := &refs[i]
-		c.words[i] = r.Table.Lookup(r.Addr)
 		wordBits, addrBits := probeBits(r.Table)
 		c.stats.BitsRead += int64(wordBits)
 		c.stats.AddrBitsSent += int64(addrBits)
@@ -172,7 +195,7 @@ func (c *QueryCtx) Flush() ([]Word, error) {
 		}
 	}
 	c.pending = c.pending[:0]
-	return c.words, nil
+	return c.words
 }
 
 // Round stages refs and flushes them as one round: the convenience form

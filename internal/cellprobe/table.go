@@ -1,6 +1,7 @@
 package cellprobe
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -45,6 +46,16 @@ func (m *Meter) MemoHits() int64 { return m.memoHits.Load() }
 // and the oracle memoises it under the payload alone.
 type Evaler interface {
 	EvalCell(addr Addr) Word
+}
+
+// BatchEvaler is an Evaler that can compute many cells of its table at
+// once: EvalCells sets out[i] to EvalCell(addrs[i]) for every i. A table
+// whose cold cell costs a scan of the database implements it to answer a
+// whole group of cells with one scan (Oracle.LookupEach hands it a round's
+// misses together).
+type BatchEvaler interface {
+	Evaler
+	EvalCells(addrs []Addr, out []Word)
 }
 
 // funcEvaler adapts a plain function to Evaler for NewOracle.
@@ -127,6 +138,77 @@ func (o *Oracle) Lookup(addr Addr) Word {
 		o.meter.cellEvals.Add(1)
 	}
 	return w
+}
+
+// lookupScratch is LookupEach's working memory: for every miss of a call,
+// its position in the call and the distinct cell it names; for every
+// distinct cell, its hash, address and evaluated content.
+type lookupScratch struct {
+	at, cell []int
+	hashes   []uint64
+	addrs    []Addr
+	words    []Word
+}
+
+var lookupPool = sync.Pool{New: func() any { return new(lookupScratch) }}
+
+// LookupEach sets out[i] to Lookup(addrs[i]) for every i. The cells not in
+// the memo are evaluated together — by one EvalCells call when the evaler
+// is a BatchEvaler — and an address that occurs twice among them is
+// evaluated once, its repeat served from that result as the memo would
+// have served it. The memo ends up holding the cells, and the meter the
+// counts, that the Lookup calls made in order would have left.
+func (o *Oracle) LookupEach(addrs []Addr, out []Word) {
+	sc := lookupPool.Get().(*lookupScratch)
+	at, cell := sc.at[:0], sc.cell[:0]
+	hashes, miss := sc.hashes[:0], sc.addrs[:0]
+	var buf [AddrWords]uint64
+	o.mu.RLock()
+	for i := range addrs {
+		key := addrs[i].AppendPayload(buf[:0])
+		hash := hashWords(key)
+		if w, ok := o.memo.get(hash, key); ok {
+			out[i] = w
+			continue
+		}
+		// A miss names a new distinct cell unless an earlier miss of this
+		// call has the same address (the hash screens the comparison).
+		e := 0
+		for e < len(miss) && (hashes[e] != hash || miss[e] != addrs[i]) {
+			e++
+		}
+		if e == len(miss) {
+			hashes, miss = append(hashes, hash), append(miss, addrs[i])
+		}
+		at, cell = append(at, i), append(cell, e)
+	}
+	o.mu.RUnlock()
+	if len(miss) > 0 {
+		words := slices.Grow(sc.words[:0], len(miss))[:len(miss)]
+		sc.words = words
+		if be, ok := o.ev.(BatchEvaler); ok {
+			be.EvalCells(miss, words)
+		} else {
+			for e := range miss {
+				words[e] = o.ev.EvalCell(miss[e])
+			}
+		}
+		o.mu.Lock()
+		// Another goroutine may have raced us; determinism makes that benign.
+		for e := range miss {
+			o.memo.put(hashes[e], miss[e].AppendPayload(buf[:0]), words[e])
+		}
+		o.mu.Unlock()
+		for j, i := range at {
+			out[i] = words[cell[j]]
+		}
+	}
+	if o.meter != nil {
+		o.meter.cellEvals.Add(int64(len(miss)))
+		o.meter.memoHits.Add(int64(len(addrs) - len(miss)))
+	}
+	sc.at, sc.cell, sc.hashes, sc.addrs = at, cell, hashes, miss
+	lookupPool.Put(sc)
 }
 
 // MemoSize returns the number of materialized cells.

@@ -18,12 +18,6 @@ type Algo1 struct {
 	idx *Index
 	k   int
 	tau int
-
-	// firstGrid is the deterministic first-round probe grid: with l=0,
-	// u=L fixed at entry, the first round's levels depend only on (L, τ,
-	// k), never on the query. PrimeBatch exploits this to precompute the
-	// grid's query sketches for a whole batch with the blocked kernel.
-	firstGrid []int
 }
 
 // NewAlgo1 builds the scheme with round budget k ≥ 1 on the shared index.
@@ -33,17 +27,7 @@ func NewAlgo1(idx *Index, k int) *Algo1 {
 	if k < 1 {
 		panic("core: Algo1 needs k >= 1")
 	}
-	a := &Algo1{idx: idx, k: k, tau: algo1Tau(idx.Fam.L, k)}
-	l, u := 0, idx.Fam.L
-	a.firstGrid = make([]int, 0, u-l)
-	if u-l < a.tau || k <= 1 { // mirrors QueryWithCtx's first-round test
-		for i := l + 1; i <= u; i++ {
-			a.firstGrid = append(a.firstGrid, i)
-		}
-	} else {
-		a.firstGrid = appendShrinkGrid(a.firstGrid, l, u, a.tau)
-	}
-	return a
+	return &Algo1{idx: idx, k: k, tau: algo1Tau(idx.Fam.L, k)}
 }
 
 func algo1Tau(levels, k int) int {
@@ -89,102 +73,154 @@ func (a *Algo1) Query(x bitvec.Vector) Result {
 	return queryPooled(func(c *QueryCtx) Result { return a.QueryWithCtx(x, c) })
 }
 
+// The algorithm is stated once, as three steps over the search state a
+// QueryCtx carries (l, u, first, completion, grid), and driven two ways:
+// QueryWithCtx runs one query, QueryEachWithCtx a chunk of queries in
+// lock step. Both are start, then { stage; flush; advance } until advance
+// reports an outcome.
+
+// start binds c to query x and plans its first round.
+func (a *Algo1) start(x bitvec.Vector, c *QueryCtx) {
+	c.begin(a.idx, x, a.k)
+	c.l, c.u, c.first = 0, a.idx.Fam.L, true
+	a.plan(c)
+}
+
+// plan decides c's next round from its gap (l, u]: the completion round
+// scans every remaining level, a shrinking round the τ−1 grid levels.
+func (a *Algo1) plan(c *QueryCtx) {
+	c.completion = c.u-c.l < a.tau || c.cp.RoundsLeft() <= 1
+	c.grid = c.grid[:0]
+	if c.completion {
+		for i := c.l + 1; i <= c.u; i++ {
+			c.grid = append(c.grid, i)
+		}
+	} else {
+		c.grid = appendShrinkGrid(c.grid, c.l, c.u, a.tau)
+	}
+}
+
+// stage stages the planned round's probes: the two degenerate-case cells
+// in the first round, then T_i[M_i·x] for every grid level i.
+func (a *Algo1) stage(c *QueryCtx) {
+	idx, cp := a.idx, c.cp
+	if c.first {
+		stageDegenerate(cp, idx, c.sk.x)
+	}
+	for _, i := range c.grid {
+		bt := idx.Tables.Ball[i]
+		cp.Stage(bt.Table(), bt.AddressOfSketch(c.sk.accurate(i)))
+	}
+}
+
+// advance consumes the flushed round's contents. It reports the query's
+// outcome when the round settles it; otherwise it narrows the gap and
+// plans the next round.
+func (a *Algo1) advance(c *QueryCtx, words []cellprobe.Word) (Result, bool) {
+	cp := c.cp
+	if c.first {
+		if ans, ok := degenerateAnswer(words[0], words[1]); ok {
+			return Result{Index: ans, Stats: cp.Stats(), Degenerate: true}, true
+		}
+		words = words[2:]
+		c.first = false
+	}
+	l, u, grid := c.l, c.u, c.grid
+	if c.completion {
+		for _, w := range words {
+			if w.Kind == cellprobe.Point {
+				return Result{Index: w.Index, Stats: cp.Stats()}, true
+			}
+		}
+		return Result{Index: -1, Stats: cp.Stats(), Violated: true, Err: errNoAnswer(l, u)}, true
+	}
+	// Shrinking round: r* is the smallest grid position with a nonempty
+	// level; the gap collapses to (ρ(r*−1), ρ(r*)].
+	rStar := len(grid) // == τ−1 positions; τ means "none nonempty"
+	for gi, w := range words {
+		if w.Kind == cellprobe.Point {
+			rStar = gi
+			break
+		}
+	}
+	var newL, newU int
+	if rStar == len(grid) {
+		newL, newU = grid[len(grid)-1], u
+	} else if rStar == 0 {
+		newL, newU = l, grid[0]
+	} else {
+		newL, newU = grid[rStar-1], grid[rStar]
+	}
+	if newL < l || newU > u || newL >= newU {
+		return Result{Index: -1, Stats: cp.Stats(), Violated: true,
+			Err: fmt.Errorf("core: invariant broke: [%d,%d] -> [%d,%d]", l, u, newL, newU)}, true
+	}
+	c.l, c.u = newL, newU
+	a.plan(c)
+	return Result{}, false
+}
+
 // QueryWithCtx runs the algorithm on a caller-supplied execution context
 // (pooled by the serving layers; recording for the communication
 // translation). The Result's Stats alias context-owned memory.
 func (a *Algo1) QueryWithCtx(x bitvec.Vector, c *QueryCtx) Result {
-	idx := a.idx
-	c.begin(idx, x, a.k)
-	cp := c.cp
-	l, u := 0, idx.Fam.L
-	first := true
-
+	a.start(x, c)
 	for {
-		completion := u-l < a.tau || cp.RoundsLeft() <= 1
-		if first {
-			stageDegenerate(cp, idx, x)
-		}
-		grid := c.grid[:0]
-		if completion {
-			for i := l + 1; i <= u; i++ {
-				grid = append(grid, i)
-			}
-		} else {
-			grid = appendShrinkGrid(grid, l, u, a.tau)
-		}
-		c.grid = grid
-		for _, i := range grid {
-			bt := idx.Tables.Ball[i]
-			cp.Stage(bt.Table(), bt.AddressOfSketch(c.sk.accurate(i)))
-		}
-		words, err := cp.Flush()
+		a.stage(c)
+		words, err := c.cp.Flush()
 		if err != nil {
-			return Result{Index: -1, Stats: cp.Stats(), Err: err}
+			return Result{Index: -1, Stats: c.cp.Stats(), Err: err}
 		}
-		if first {
-			if ans, ok := degenerateAnswer(words[0], words[1]); ok {
-				return Result{Index: ans, Stats: cp.Stats(), Degenerate: true}
-			}
-			words = words[2:]
-			first = false
+		if res, done := a.advance(c, words); done {
+			return res
 		}
-		if completion {
-			for _, w := range words {
-				if w.Kind == cellprobe.Point {
-					return Result{Index: w.Index, Stats: cp.Stats()}
-				}
-			}
-			return Result{Index: -1, Stats: cp.Stats(), Violated: true, Err: errNoAnswer(l, u)}
-		}
-		// Shrinking round: r* is the smallest grid position with a nonempty
-		// level; the gap collapses to (ρ(r*−1), ρ(r*)].
-		rStar := len(grid) // == τ−1 positions; τ means "none nonempty"
-		for gi, w := range words {
-			if w.Kind == cellprobe.Point {
-				rStar = gi
-				break
-			}
-		}
-		var newL, newU int
-		if rStar == len(grid) {
-			newL, newU = grid[len(grid)-1], u
-		} else if rStar == 0 {
-			newL, newU = l, grid[0]
-		} else {
-			newL, newU = grid[rStar-1], grid[rStar]
-		}
-		if newL < l || newU > u || newL >= newU {
-			return Result{Index: -1, Stats: cp.Stats(), Violated: true,
-				Err: fmt.Errorf("core: invariant broke: [%d,%d] -> [%d,%d]", l, u, newL, newU)}
-		}
-		l, u = newL, newU
 	}
 }
 
-// PrimeBatch implements BatchPrimer. The first round of Algorithm 1
-// probes a fixed level grid (see firstGrid), so its query sketches
-// M_i·x can be computed for B queries at once with the matrix walked a
-// single time per level (sketch.Matrix.ApplyBatchInto). Sketching is the
-// querier's own work in the cell-probe model — it touches no tables and
-// costs no probes — so primed and unprimed executions are bit-identical
-// in both answers and accounting.
+// QueryEachWithCtx answers xs[q] into out[q] for every q, running the
+// queries round-synchronously on b: all live queries stage round r, one
+// joint flush resolves it (cellprobe.FlushEach: every table answers the
+// round's probes to it together, its cold cells with one scan), all
+// advance — k synchronisation points, which is what a k-round scheme
+// licenses, since inside a round every address is known before anything
+// is read. A query that finishes (a degenerate answer, an error, its
+// completion round) drops out and the rest continue.
 //
-// dsts is caller scratch with len(dsts) >= len(ctxs); ctxs[q] must next
-// run this scheme on xs[q] (same backing array) for the priming to take.
-func (a *Algo1) PrimeBatch(ctxs []*QueryCtx, xs []bitvec.Vector, dsts []bitvec.Vector) {
-	fam := a.idx.Fam
-	dsts = dsts[:len(ctxs)]
-	for q, c := range ctxs {
-		c.sk.prime(fam, xs[q])
+// Each query's outcome and accounting are those of QueryWithCtx run alone:
+// the steps are the same functions, and the joint flush charges a context
+// what its own Flush would. Sketching is the querier's own work and costs
+// no probes, so each round's sketches M_i·x are computed per level for all
+// the queries that probe it (sketch.Matrix.ApplyBatchInto walks the matrix
+// once for the group). out[q].Stats aliases memory owned by b, valid until
+// b's next use.
+func (a *Algo1) QueryEachWithCtx(xs []bitvec.Vector, b *BatchCtx, out []Result) {
+	b.bind(len(xs))
+	live := b.live[:0]
+	for q, x := range xs {
+		a.start(x, b.ctxs[q])
+		live = append(live, q)
 	}
-	for _, i := range a.firstGrid {
-		for q, c := range ctxs {
-			dsts[q] = c.sk.accBuf(i)
+	b.live = live
+	for len(live) > 0 {
+		b.sketchGrids(a.idx.Fam, live)
+		cps, errs := b.cps[:0], b.errs[:len(live)]
+		for _, q := range live {
+			a.stage(b.ctxs[q])
+			cps = append(cps, b.ctxs[q].cp)
 		}
-		fam.Accurate[i].ApplyBatchInto(dsts, xs[:len(ctxs)])
-		for _, c := range ctxs {
-			c.sk.accOK[i] = true
+		cellprobe.FlushEach(cps, errs)
+		still := live[:0]
+		for j, q := range live {
+			c := b.ctxs[q]
+			if errs[j] != nil {
+				out[q] = Result{Index: -1, Stats: c.cp.Stats(), Err: errs[j]}
+			} else if res, done := a.advance(c, c.cp.Words()); done {
+				out[q] = res
+			} else {
+				still = append(still, q)
+			}
 		}
+		b.cps, live = cps, still
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -23,9 +24,17 @@ type QueryCtx struct {
 	cp *cellprobe.QueryCtx
 
 	sk     sketchScratch
-	grid   []int           // shrinking/completion grid scratch
+	grid   []int           // the planned round's levels (Algo1); grid scratch (Algo2)
 	coarse []bitvec.Vector // aux-group coarse sketch scratch (Algo2)
 	agg    cellprobe.Stats // boosted repetition accumulator
+
+	// Algorithm 1's search state between rounds: the gap (l, u] with
+	// C_l = ∅ and C_u ≠ ∅, whether the first round (which carries the
+	// degenerate-case probes) is still ahead, and whether the planned
+	// round is the completion round.
+	l, u       int
+	first      bool
+	completion bool
 }
 
 // NewQueryCtx returns a fresh, reusable context. Callers that issue many
@@ -83,26 +92,13 @@ type sketchScratch struct {
 	accOK    []bool
 	coarse   []bitvec.Vector
 	coarseOK []bool
-
-	// primedFam/primedX record a pending PrimeBatch precomputation: the
-	// next bind with exactly this (family, query) pair keeps the accurate
-	// sketches already in acc instead of resetting accOK. One-shot — bind
-	// always clears the mark, so a context reused for an unrelated query
-	// never serves stale sketches.
-	primedFam *sketch.Family
-	primedX   bitvec.Vector
 }
 
 func (s *sketchScratch) bind(fam *sketch.Family, x bitvec.Vector) {
 	s.shape(fam)
-	keep := s.primedFam == fam && len(x) > 0 &&
-		len(s.primedX) == len(x) && &s.primedX[0] == &x[0]
-	s.primedFam, s.primedX = nil, nil
 	s.x = x
 	for i := range s.accOK {
-		if !keep {
-			s.accOK[i] = false
-		}
+		s.accOK[i] = false
 		s.coarseOK[i] = false
 	}
 }
@@ -120,22 +116,8 @@ func (s *sketchScratch) shape(fam *sketch.Family) {
 	}
 }
 
-// prime prepares the scratch for a forthcoming bind to (fam, x): buffers
-// are shaped, every sketch is invalidated, and the pair is remembered so
-// that bind preserves whatever accurate sketches PrimeBatch fills in
-// between. Identity of x is by backing array — the batch layer passes the
-// same slice to prime and to the query.
-func (s *sketchScratch) prime(fam *sketch.Family, x bitvec.Vector) {
-	s.shape(fam)
-	for i := range s.accOK {
-		s.accOK[i] = false
-		s.coarseOK[i] = false
-	}
-	s.primedFam, s.primedX = fam, x
-}
-
 // accBuf returns level i's accurate-sketch buffer, sized for the bound
-// family, without computing anything — the PrimeBatch destination.
+// family, without computing anything.
 func (s *sketchScratch) accBuf(i int) bitvec.Vector {
 	if len(s.acc[i]) != bitvec.Words(s.fam.AccurateRows()) {
 		s.acc[i] = bitvec.New(s.fam.AccurateRows())
@@ -181,4 +163,50 @@ func (s *sketchScratch) coarseAt(j int) bitvec.Vector {
 		s.coarseOK[j] = true
 	}
 	return s.coarse[j]
+}
+
+// BatchCtx is the execution context of a round-synchronous chunk of
+// queries (Algo1.QueryEachWithCtx): one QueryCtx per query plus the lock-
+// step driver's lists. It grows to the largest chunk it has served and is
+// reused across chunks, so steady-state batches allocate nothing. The zero
+// value is ready to use; not safe for concurrent use.
+type BatchCtx struct {
+	ctxs []*QueryCtx
+	live []int                 // positions of the queries still running
+	cps  []*cellprobe.QueryCtx // their probe contexts, the joint flush's argument
+	errs []error               // the joint flush's per-context outcome
+
+	dsts, srcs []bitvec.Vector // one level's sketch group
+}
+
+// bind makes room for a chunk of n queries.
+func (b *BatchCtx) bind(n int) {
+	for len(b.ctxs) < n {
+		b.ctxs = append(b.ctxs, NewQueryCtx())
+	}
+	if cap(b.errs) < n {
+		b.errs = make([]error, n)
+	}
+}
+
+// sketchGrids computes the sketches the live queries' planned rounds will
+// address, level by level: M_i·x for every live query whose grid holds i,
+// as one batch through the blocked kernel. Queries that share a level —
+// all of them in the first round, whose grid does not depend on the query
+// — share the walk over M_i.
+func (b *BatchCtx) sketchGrids(fam *sketch.Family, live []int) {
+	for i := 0; i <= fam.L; i++ {
+		dsts, srcs := b.dsts[:0], b.srcs[:0]
+		for _, q := range live {
+			c := b.ctxs[q]
+			if !c.sk.accOK[i] && slices.Contains(c.grid, i) {
+				dsts, srcs = append(dsts, c.sk.accBuf(i)), append(srcs, c.sk.x)
+				c.sk.accOK[i] = true
+			}
+		}
+		if len(dsts) > 0 {
+			fam.Accurate[i].ApplyBatchInto(dsts, srcs)
+		}
+		b.dsts, b.srcs = dsts, srcs
+	}
 }

@@ -176,20 +176,6 @@ type CtxScheme interface {
 	QueryWithCtx(x bitvec.Vector, c *QueryCtx) Result
 }
 
-// BatchPrimer is a CtxScheme whose first probe round is query-independent,
-// so a batch of queries can have that round's sketches precomputed with
-// the register-blocked kernel (one matrix traversal feeds the whole
-// batch) before the per-query executions run. Priming is a pure
-// optimization: answers and cell-probe accounting are unchanged.
-//
-// Contract: after PrimeBatch(ctxs, xs, dsts), the caller runs
-// QueryWithCtx(xs[q], ctxs[q]) for each q — same query slice, same
-// context. dsts is caller scratch with len(dsts) >= len(ctxs).
-type BatchPrimer interface {
-	CtxScheme
-	PrimeBatch(ctxs []*QueryCtx, xs []bitvec.Vector, dsts []bitvec.Vector)
-}
-
 // queryPooled runs one CtxScheme query on a pool-acquired context and
 // detaches the stats — the implementation behind every Scheme.Query.
 func queryPooled(run func(c *QueryCtx) Result) Result {

@@ -26,7 +26,9 @@ const (
 	// move the figure and the ceilings carry no slack.
 	allocCeilingHandleQueryMiss = 41
 	allocCeilingHandleQueryHit  = 31
-	allocCeilingHandleBatch8    = 74
+	// A batch of one chunk runs on the worker that admitted it: no job
+	// channel, batch worker goroutine or WaitGroup (73 with them).
+	allocCeilingHandleBatch8 = 69
 )
 
 // handlerFixture is a warm single-index server (one worker, so the

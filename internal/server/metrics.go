@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/obs"
 )
 
@@ -47,6 +48,8 @@ func (s *Server) buildRegistry() {
 	reg.GaugeFunc("anns_index_load_seconds", "Build or snapshot-load duration.",
 		obs.Labels{"source": s.cfg.Index.Source},
 		func() float64 { return s.cfg.Index.LoadDuration.Seconds() })
+	reg.GaugeFunc("anns_scan_kernel_info", "Table-scan body behind /v1/batch on this machine (constant 1; the impl label names it).",
+		obs.Labels{"impl": bitvec.ScanKernel()}, func() float64 { return 1 })
 	if s.cfg.Index.MappedBytes > 0 {
 		reg.GaugeFunc("anns_mapped_bytes", "Bytes mmapped for zero-copy serving.", nil,
 			func() float64 { return float64(s.cfg.Index.MappedBytes) })

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/anns"
+	"repro/internal/bitvec"
 	"repro/internal/obs"
 	"repro/internal/qcache"
 )
@@ -448,6 +449,7 @@ func (s *Server) Stats() StatsSnapshot {
 		ReadStats:         s.fe.C.Stats(time.Since(s.start)),
 		QueueLen:          len(s.queue),
 		Workers:           s.cfg.Workers,
+		ScanKernel:        bitvec.ScanKernel(),
 		IndexSource:       s.cfg.Index.Source,
 		SnapshotVersion:   s.cfg.Index.SnapshotVersion,
 		IndexLoadMS:       s.cfg.Index.LoadDuration.Milliseconds(),

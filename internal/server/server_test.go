@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/anns"
+	"repro/internal/bitvec"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -330,7 +332,7 @@ func TestStatsSchemaMatchesWire(t *testing.T) {
 	}
 	for _, field := range []string{
 		"queries", "errors", "probes", "rounds", "max_rounds", "max_parallel",
-		"qps", "error_rate", "rejected", "deadline_exceeded",
+		"qps", "error_rate", "rejected", "deadline_exceeded", "scan_kernel",
 	} {
 		if !bytes.Contains(raw, []byte(fmt.Sprintf("%q", field))) {
 			t.Errorf("stats schema lost field %q: %s", field, raw)
@@ -366,6 +368,80 @@ func TestWorkerSurvivesPanic(t *testing.T) {
 	}
 	if snap := srv.Stats(); snap.Errors < 3 {
 		t.Errorf("errors = %d, want >= 3", snap.Errors)
+	}
+}
+
+// TestScanKernelReported: /statsz and /metricsz both say which table-scan
+// body this process runs, and agree with the kernel package.
+func TestScanKernelReported(t *testing.T) {
+	srv, hs, _ := newTestServer(t, Config{Workers: 1})
+	impl := bitvec.ScanKernel()
+	if impl != "avx512" && impl != "portable" {
+		t.Fatalf("bitvec.ScanKernel() = %q", impl)
+	}
+	if got := srv.Stats().ScanKernel; got != impl {
+		t.Errorf("/statsz scan_kernel = %q, the kernel package says %q", got, impl)
+	}
+	resp, err := http.Get(hs.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("anns_scan_kernel_info{impl=%q} 1", impl); !bytes.Contains(body, []byte(want)) {
+		t.Errorf("/metricsz lacks the series %s", want)
+	}
+}
+
+// shortPointSearcher is a real index whose batches receive their points one
+// word short: the engine panics, and it does so inside BatchQueryContext's
+// own worker goroutines (a batch of more than one chunk runs on a pool).
+type shortPointSearcher struct{ *anns.Index }
+
+func (s shortPointSearcher) BatchQueryContext(ctx context.Context, xs []anns.Point, workers int) []anns.BatchResult {
+	short := make([]anns.Point, len(xs))
+	for i, x := range xs {
+		short[i] = x[:len(x)-1]
+	}
+	return s.Index.BatchQueryContext(ctx, short, workers)
+}
+
+// TestBatchPanicAnswers500: a panic on a goroutine the batch spawned used
+// to be outside every recover and took the process — here, the test
+// binary — down with all in-flight requests. It must come back to the
+// admitted task's goroutine, where the one recovery answers 500 and counts
+// an error, and the server must go on serving.
+func TestBatchPanicAnswers500(t *testing.T) {
+	inst := workload.PlantedNN(rng.New(31), testDim, 40, 8, 6)
+	idx, err := anns.Build(inst.DB, anns.Options{Dimension: testDim, Rounds: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(shortPointSearcher{idx}, Config{Dimension: testDim, Workers: 1, BatchWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer srv.Close()
+	points := make([]string, 20) // three chunks
+	for i := range points {
+		points[i] = EncodePoint(inst.Queries[i%len(inst.Queries)].X)
+	}
+	before := srv.Stats().Errors
+	resp, body := post(t, hs.URL+"/v1/batch", BatchRequest{Points: points, TimeoutMS: 2000})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("batch over a panicking index: status %d (%s), want 500", resp.StatusCode, body)
+	}
+	if got := srv.Stats().Errors; got != before+1 {
+		t.Errorf("errors = %d, want %d", got, before+1)
+	}
+	resp, body = post(t, hs.URL+"/v1/query", QueryRequest{Point: points[0], TimeoutMS: 2000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after the panic: status %d (%s), want 200", resp.StatusCode, body)
 	}
 }
 

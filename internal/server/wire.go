@@ -194,6 +194,10 @@ type StatsSnapshot struct {
 	ReadStats
 	QueueLen int `json:"queue_len"`
 	Workers  int `json:"workers"`
+	// ScanKernel names the body the table scans behind /v1/batch run on
+	// this machine: "avx512" or "portable" (bitvec.ScanKernel). Chosen by
+	// the CPU alone; answers are the same either way, batch latency is not.
+	ScanKernel string `json:"scan_kernel"`
 	// Index provenance (the build→snapshot→serve lifecycle): how the
 	// served index came to be and how long bringing it up took.
 	IndexSource     string `json:"index_source"`

@@ -141,6 +141,22 @@ func (t *BallTable) EvalCell(addr cellprobe.Addr) cellprobe.Word {
 	return cellprobe.EmptyWord
 }
 
+// EvalCells implements cellprobe.BatchEvaler: the cells of a round's
+// misses in this table, each what EvalCell would return, found by one
+// pass over the sketch block for all of them.
+func (t *BallTable) EvalCells(addrs []cellprobe.Addr, out []cellprobe.Word) {
+	t.ensureSketches()
+	scan := cellScanPool.Get().(*cellScan)
+	for i := range addrs {
+		if addrs[i].Len() != t.sk.RowWords {
+			out[i] = cellprobe.EmptyWord // malformed, as in EvalCell
+			continue
+		}
+		scan.add(i, &addrs[i])
+	}
+	scan.resolve(&t.sk, t.fam.AccurateThreshold(t.Level), out)
+}
+
 // MembersOfC returns the indices of all database points in C_level for the
 // given query sketch. This is *not* a model operation — it is used by tests
 // and by the Lemma 8 validation experiment (E7).

@@ -19,7 +19,8 @@ import (
 // rounds, probes, per-round parallelism, bits read, address bits sent —
 // whether the tables evaluate cells with the scan kernel and flat memo or
 // with the reference row-by-row evalers, and must materialise the same
-// cells doing so.
+// cells doing so. Its batch leg holds Algorithm 1's round-synchronous
+// batches to the same reference, query by query.
 func TestSchemesMatchReferenceEvalers(t *testing.T) {
 	for _, shape := range []struct {
 		d, n, queries int
@@ -28,6 +29,7 @@ func TestSchemesMatchReferenceEvalers(t *testing.T) {
 		{256, 600, 60, []int{1, 2, 3, 8}},  // 4-word sketches, 4-word points
 		{512, 3000, 24, []int{1, 2, 3, 8}}, // 5-word sketches, 8-word points
 		{192, 90, 40, []int{1, 2, 3, 8}},   // 3-word sketches and points: the generic body
+		{256, 8200, 10, []int{3}},          // 6-word sketches: the multi-key kernel's unrolled body
 		// Large d, k = 12: the regime where Algorithm 2's shrinking phases
 		// (and so the auxiliary tables) run; points are 256 words, so the
 		// membership addresses spill past the inline payload.
@@ -100,6 +102,40 @@ func TestSchemesMatchReferenceEvalers(t *testing.T) {
 				}
 				if g, w := idx.Tables.Space(), ref.Tables.Space(); g != w {
 					t.Fatalf("k=%d: space accounting %+v, reference %+v", k, g, w)
+				}
+
+				// Batch leg: Algorithm 1 run round-synchronously over the
+				// kernel tables (joint flushes, one multi-key scan per table
+				// per round) against the same queries run one by one over
+				// the reference evalers, both from cold. Sizes straddle the
+				// kernel's 8 lanes; every batch past the first holds a point
+				// twice (its cells are cold twice in one round), and the
+				// query mix puts database points (answered in round 1 while
+				// the rest continue) and uniform points (whose later rounds
+				// probe different levels) side by side.
+				bidx, bref := core.BuildIndex(db, shape.d, p), core.BuildIndex(db, shape.d, p)
+				table.UseReferenceEvalers(bref.Tables)
+				batch, seq := core.NewAlgo1(bidx, k), core.NewAlgo1(bref, k)
+				bc := new(core.BatchCtx)
+				next := 0
+				for _, size := range []int{1, 7, 8, 9, 21} {
+					xs := make([]bitvec.Vector, size)
+					for i := range xs {
+						xs[i] = queries[next%len(queries)]
+						next++
+					}
+					xs[size-1] = xs[0]
+					out := make([]core.Result, size)
+					batch.QueryEachWithCtx(xs, bc, out)
+					for i, x := range xs {
+						if g, w := out[i], seq.Query(x); g.Index != w.Index || g.Degenerate != w.Degenerate || g.Violated != w.Violated ||
+							fmt.Sprint(g.Err) != fmt.Sprint(w.Err) || !reflect.DeepEqual(g.Stats, w.Stats) {
+							t.Fatalf("k=%d batch of %d, query %d:\n got %+v\nwant %+v", k, size, i, g, w)
+						}
+					}
+				}
+				if g, w := bidx.Tables.Space(), bref.Tables.Space(); g != w {
+					t.Fatalf("k=%d: batches left space accounting %+v, sequential reference %+v", k, g, w)
 				}
 			}
 		})

@@ -71,3 +71,23 @@ func (m *Membership) EvalCell(addr cellprobe.Addr) cellprobe.Word {
 	}
 	return cellprobe.EmptyWord
 }
+
+// EvalCells implements cellprobe.BatchEvaler. Each cell is first looked up
+// in the key index, as in EvalCell; the radius-1 cells whose address is no
+// database point share one pass over the database block.
+func (m *Membership) EvalCells(addrs []cellprobe.Addr, out []cellprobe.Word) {
+	scan := cellScanPool.Get().(*cellScan)
+	var buf [cellprobe.AddrWords]uint64
+	for i := range addrs {
+		out[i] = cellprobe.EmptyWord
+		if addrs[i].Len() != m.db.RowWords {
+			continue // malformed, as in EvalCell
+		}
+		if p, ok := m.index.lookup(addrs[i].AppendPayload(buf[:0])); ok {
+			out[i] = cellprobe.PointWord(p)
+		} else if m.radius == 1 {
+			scan.add(i, &addrs[i])
+		}
+	}
+	scan.resolve(m.db, 1, out)
+}
