@@ -17,12 +17,13 @@ import (
 
 const (
 	// allocCeilingQuery bounds Index.Query and Index.QueryNear: the warm
-	// path allocates nothing; 1.5 tolerates a stray pool refill under GC.
-	allocCeilingQuery = 1.5
+	// path allocates nothing. (AllocsPerRun reports the per-run average
+	// rounded down, so a stray pool refill after a GC does not show.)
+	allocCeilingQuery = 0
 	// allocCeilingSharded bounds the ShardedIndex merge path: one
 	// goroutine spawn per shard (4 here) plus the wait-group round trip.
 	// Everything else — per-shard contexts, result slots — is pooled.
-	allocCeilingSharded = 24
+	allocCeilingSharded = 9
 )
 
 // skipIfRace skips allocation-ceiling tests under the race detector,

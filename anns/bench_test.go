@@ -1,10 +1,13 @@
 package anns
 
 import (
+	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/hamming"
 	"repro/internal/rng"
+	"repro/internal/snapshot"
 )
 
 // The BenchmarkQuery* family measures the public query path end to end at
@@ -13,7 +16,9 @@ import (
 //
 //	go test -bench BenchmarkQuery -benchmem ./anns ./internal/core
 //
-// and compare against BENCH_query_engine.json.
+// The allocs/op these print are held exactly by the TestAllocs* ceilings
+// here and in internal/core; ns/op is judged on the whole-path benchmark
+// (benchmark/), not here.
 
 func benchDB(b *testing.B, n, d int, seed uint64) ([]Point, []Point) {
 	b.Helper()
@@ -130,4 +135,46 @@ func BenchmarkBatchNovel8(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkOpenSnapshot puts the three ways a process can come to serve
+// one saved index side by side: mmap (structural decode over the mapping,
+// sections borrowed from the page cache), heap (stream decode, every
+// section copied and checksummed) and rebuild (preprocess the points
+// again). "Build once, serve anywhere" is the claim that the first two
+// are orders of magnitude under the third; mmap vs heap is the boot-time
+// and B/op cost of copying.
+func BenchmarkOpenSnapshot(b *testing.B) {
+	db, _ := benchDB(b, 4096, 512, 61)
+	opts := Options{Dimension: 512, Rounds: 3}
+	ix, err := Build(db, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := saveToFile(b, func(f *os.File) error { return SaveIndex(f, ix) }, "index.snap")
+	open := func(mode LoadMode) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l, err := OpenSnapshot(path, mode)
+				if errors.Is(err, snapshot.ErrMmapUnavailable) {
+					b.Skip(err)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				l.Close()
+			}
+		}
+	}
+	b.Run("mmap", open(LoadMmap))
+	b.Run("heap", open(LoadHeap))
+	b.Run("rebuild", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Build(db, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

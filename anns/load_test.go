@@ -31,7 +31,7 @@ func loadTestCorpus(t testing.TB, n, d int, seed uint64) ([]Point, []Point) {
 	return db, queries
 }
 
-func saveToFile(t *testing.T, save func(f *os.File) error, name string) string {
+func saveToFile(t testing.TB, save func(f *os.File) error, name string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
 	f, err := os.Create(path)

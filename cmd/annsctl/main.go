@@ -1,12 +1,13 @@
-// Command annsctl is the offline index-lifecycle tool: it builds index
-// snapshots ("build once"), inspects them, and benchmarks the build and
-// load paths.
+// Command annsctl is the offline tool: it builds index snapshots ("build
+// once"), inspects them, writes workload dataset files, and regenerates
+// the paper's tables.
 //
 //	annsctl build -o idx.snap -kind planted -d 512 -n 4096 -shards 4 -k 3
 //	annsctl shard-split -o shards/ -kind planted -d 512 -n 4096 -shards 4 -k 3
 //	annsctl inspect idx.snap
 //	annsctl compact -snapshot base.snap -wal wal.log -o merged.snap
-//	annsctl bench -kind planted -d 512 -n 4096 -shards 4 -o BENCH_index_build.json
+//	annsctl gen -out data.bin -kind clustered -d 1024 -n 500 -q 50
+//	annsctl paper [-run E1,E3] [-seed 42] [-quick] [-format text|markdown|csv]
 //
 // A snapshot built here is served by `annsd -snapshot idx.snap` on any
 // host ("serve anywhere"): the file embeds the format version, the paper
@@ -16,21 +17,19 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/anns"
+	"repro/internal/dataset"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/snapshot"
@@ -52,8 +51,10 @@ func main() {
 		runInspect(os.Args[2:])
 	case "compact":
 		runCompact(os.Args[2:])
-	case "bench":
-		runBench(os.Args[2:])
+	case "gen":
+		runGen(os.Args[2:])
+	case "paper":
+		runPaper(os.Args[2:])
 	default:
 		usage()
 	}
@@ -70,70 +71,34 @@ commands:
                or, given an http:// URL, a live server's serving provenance
                (index source, cache capacity and hit rate, generation)
   compact      offline-merge a base snapshot and a WAL into one fresh snapshot
-  bench        measure sequential vs parallel build, save, and load timings
-               (-kernels: sketch-kernel sweep → BENCH_kernels.json;
-                -cache: result-cache zipfian skew sweep → BENCH_cache.json)
+  gen          generate a workload and write it as a dataset file for
+               annsd -in / annsload -in
+  paper        run the experiment suite E1–E14 (DESIGN.md §4) and print the
+               regenerated tables — the one command that reproduces the paper
 
 run "annsctl <command> -h" for the command's flags
 `)
 	os.Exit(2)
 }
 
-// indexFlags registers the index-shape flags shared by build and bench.
-type indexFlags struct {
-	k, reps, shards, buildWorkers int
-	algo                          string
-	gamma                         float64
-	seed                          uint64
-}
-
-func (f *indexFlags) register(fs *flag.FlagSet) {
-	fs.IntVar(&f.k, "k", 3, "adaptivity budget (rounds)")
-	fs.StringVar(&f.algo, "algo", "simple", "simple (Algorithm 1) | soph (Algorithm 2)")
-	fs.Float64Var(&f.gamma, "gamma", 2, "approximation ratio")
-	fs.IntVar(&f.reps, "reps", 1, "independent repetitions (success boosting)")
-	fs.Uint64Var(&f.seed, "seed", 42, "public randomness seed")
-	fs.IntVar(&f.shards, "shards", 4, "shard count (1 = single unsharded index)")
-	fs.IntVar(&f.buildWorkers, "build-workers", 0, "build worker pool (0 = GOMAXPROCS)")
-}
-
-func (f *indexFlags) options(d int) anns.Options {
-	opts := anns.Options{
-		Dimension:    d,
-		Gamma:        f.gamma,
-		Rounds:       f.k,
-		Repetitions:  f.reps,
-		Seed:         f.seed,
-		BuildWorkers: f.buildWorkers,
-	}
-	switch f.algo {
-	case "simple":
-	case "soph":
-		opts.Algorithm = anns.Sophisticated
-	default:
-		log.Fatalf("unknown -algo %q", f.algo)
-	}
-	return opts
-}
-
 // buildIndex generates the workload and builds the configured index,
 // returning exactly one non-nil index.
-func buildIndex(spec workload.Spec, idxf *indexFlags) (*anns.Index, *anns.ShardedIndex, time.Duration) {
+func buildIndex(spec workload.Spec, idxf anns.BuildFlags) (*anns.Index, *anns.ShardedIndex, time.Duration) {
 	inst, err := spec.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("workload: %s", inst)
-	opts := idxf.options(inst.D)
+	opts := idxf.For(inst.D)
 	start := time.Now()
-	if idxf.shards <= 1 {
+	if idxf.Shards <= 1 {
 		ix, err := anns.Build(inst.DB, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return ix, nil, time.Since(start)
 	}
-	sx, err := anns.BuildSharded(inst.DB, idxf.shards, opts)
+	sx, err := anns.BuildSharded(inst.DB, idxf.Shards, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -170,11 +135,11 @@ func runBuild(args []string) {
 	out := fs.String("o", "index.snap", "output snapshot path")
 	spec := workload.DefaultSpec()
 	spec.RegisterFlags(fs)
-	var idxf indexFlags
-	idxf.register(fs)
+	idxf := anns.DefaultBuildFlags()
+	idxf.RegisterFlags(fs)
 	fs.Parse(args)
 
-	ix, sx, buildDur := buildIndex(spec, &idxf)
+	ix, sx, buildDur := buildIndex(spec, idxf)
 	n := 0
 	if ix != nil {
 		n = ix.Len()
@@ -182,80 +147,51 @@ func runBuild(args []string) {
 		n = sx.Len()
 	}
 	log.Printf("built index over n=%d in %v (shards=%d, k=%d, workers=%d)",
-		n, buildDur.Round(time.Millisecond), idxf.shards, idxf.k, idxf.buildWorkers)
+		n, buildDur.Round(time.Millisecond), idxf.Shards, idxf.Rounds, idxf.BuildWorkers)
 	bytes, saveDur := save(*out, ix, sx)
 	log.Printf("saved %s (%d bytes, format v%d) in %v", *out, bytes,
 		snapshot.FormatVersion, saveDur.Round(time.Millisecond))
 }
 
-// runShardSplit builds a sharded index and writes each shard's *Index as
-// its own single-index snapshot (bootable by `annsd -snapshot`) plus a
-// placement manifest (router.Manifest) tying the files back into one
-// logical index. The per-shard indexes are the exact shards BuildSharded
-// produces — same round-robin partition, same derived seeds — so a
-// router over these files answers byte-identically to one process
-// serving the equivalent ShardedIndex.
+// runShardSplit builds a sharded index and writes it as the layout
+// cmd/annsrouter and `annsd -snapshot` boot from (router.WriteShardSplit).
 func runShardSplit(args []string) {
 	fs := flag.NewFlagSet("annsctl shard-split", flag.ExitOnError)
 	out := fs.String("o", "shards", "output directory (created if missing)")
 	spec := workload.DefaultSpec()
 	spec.RegisterFlags(fs)
-	var idxf indexFlags
-	idxf.register(fs)
+	idxf := anns.DefaultBuildFlags()
+	idxf.RegisterFlags(fs)
 	fs.Parse(args)
-	if idxf.shards < 2 {
+	if idxf.Shards < 2 {
 		log.Fatal("shard-split needs -shards >= 2")
 	}
 
-	ix, sx, buildDur := buildIndex(spec, &idxf)
+	ix, sx, buildDur := buildIndex(spec, idxf)
 	if ix != nil {
 		log.Fatal("shard-split built a single index; this is a bug")
 	}
 	log.Printf("built %d shards over n=%d in %v (k=%d, workers=%d)",
-		sx.Shards(), sx.Len(), buildDur.Round(time.Millisecond), idxf.k, idxf.buildWorkers)
+		sx.Shards(), sx.Len(), buildDur.Round(time.Millisecond), idxf.Rounds, idxf.BuildWorkers)
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	m := &router.Manifest{
-		FormatVersion: router.ManifestVersion,
-		Placement:     router.PlacementRoundRobin,
-		Shards:        sx.Shards(),
-		N:             sx.Len(),
-		Dimension:     sx.Options().Dimension,
-		Seed:          sx.Options().Seed,
+	mpath, err := router.WriteShardSplit(*out, sx)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for s := 0; s < sx.Shards(); s++ {
-		shard := sx.Shard(s)
-		name := fmt.Sprintf("shard-%d.snap", s)
-		path := filepath.Join(*out, name)
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := anns.SaveIndex(f, shard); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+	m, err := router.LoadManifest(mpath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for s, f := range m.Files {
+		path := m.ShardPath(mpath, s)
 		st, err := os.Stat(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("shard %d: %s (%d bytes, n=%d, seed=%d)", s, path, st.Size(),
-			shard.Len(), shard.Options().Seed)
-		m.Files = append(m.Files, router.ManifestShard{
-			Shard: s,
-			Path:  name,
-			N:     shard.Len(),
-			Seed:  shard.Options().Seed,
-		})
-	}
-	mpath := filepath.Join(*out, "manifest.json")
-	if err := router.WriteManifest(mpath, m); err != nil {
-		log.Fatal(err)
+		log.Printf("shard %d: %s (%d bytes, n=%d, seed=%d)", s, path, st.Size(), f.N, f.Seed)
 	}
 	log.Printf("manifest: %s (placement %s, %d shards, n=%d, d=%d)",
 		mpath, m.Placement, m.Shards, m.N, m.Dimension)
@@ -288,12 +224,8 @@ func runInspect(args []string) {
 		fmt.Println()
 	}
 	if o := info.Options; o != nil {
-		algo := "simple"
-		if o.Algorithm != 0 {
-			algo = "soph"
-		}
 		fmt.Printf("options: d=%d γ=%v k=%d algo=%s reps=%d seed=%d\n",
-			o.Dimension, o.Gamma, o.Rounds, algo, o.Repetitions, o.Seed)
+			o.Dimension, o.Gamma, o.Rounds, anns.Algorithm(o.Algorithm), o.Repetitions, o.Seed)
 	}
 	if info.Shards > 0 {
 		fmt.Printf("shards: %d over n=%d\n", info.Shards, info.N)
@@ -518,209 +450,22 @@ func runCompact(args []string) {
 	}
 }
 
-// buildBench is the JSON record of one build/load measurement
-// (BENCH_index_build.json), following the reproducible-measurement
-// practice of keeping before/after perf numbers in the repository.
-type buildBench struct {
-	Config struct {
-		Kind    string `json:"kind"`
-		N       int    `json:"n"`
-		D       int    `json:"d"`
-		K       int    `json:"k"`
-		Shards  int    `json:"shards"`
-		Reps    int    `json:"reps"`
-		Workers int    `json:"workers"`
-		// HostCPUs records the machine the numbers came from: on a
-		// single-CPU host the parallel build degenerates to the
-		// sequential baseline and BuildSpeedup is ~1 by construction.
-		HostCPUs int `json:"host_cpus"`
-	} `json:"config"`
-	SeqBuildMS     float64 `json:"seq_build_ms"`
-	ParBuildMS     float64 `json:"par_build_ms"`
-	BuildSpeedup   float64 `json:"build_speedup"`
-	SaveMS         float64 `json:"save_ms"`
-	SnapshotBytes  int64   `json:"snapshot_bytes"`
-	LoadMS         float64 `json:"load_ms"`
-	LoadVsSeqBuild float64 `json:"load_vs_seq_build"`
-	LoadVsParBuild float64 `json:"load_vs_par_build"`
-	// MmapOpenMS is the zero-copy open of the same snapshot (structural
-	// decode over the mapping; no section copies, no checksum sweep), and
-	// MmapVsLoad its speedup over the heap load. Both are 0 when the
-	// platform has no mmap.
-	MmapOpenMS      float64 `json:"mmap_open_ms"`
-	MmapVsLoad      float64 `json:"mmap_vs_load"`
-	MappedBytes     int64   `json:"mapped_bytes"`
-	SnapshotVersion uint32  `json:"snapshot_version"`
-}
-
-func runBench(args []string) {
-	fs := flag.NewFlagSet("annsctl bench", flag.ExitOnError)
-	out := fs.String("o", "BENCH_index_build.json", "output JSON path (-kernels defaults to BENCH_kernels.json, -cache to BENCH_cache.json)")
-	snapPath := fs.String("snap", "", "snapshot scratch path (default: temp file, removed)")
-	kernels := fs.Bool("kernels", false, "sweep the sketch kernels over a d × rows × batch matrix instead of the build/load path")
-	kernelRuns := fs.Int("kernel-runs", 3, "timed repetitions per kernel or cache cell (best-of)")
-	cacheSweep := fs.Bool("cache", false, "sweep the query-result cache over a zipfian θ × on/off matrix instead of the build/load path")
+// runGen writes the instance the workload flags describe as a dataset
+// file: `annsd -in` and `annsload -in` then agree on corpus and ground
+// truth from the file instead of from matching generator flags.
+func runGen(args []string) {
+	fs := flag.NewFlagSet("annsctl gen", flag.ExitOnError)
+	out := fs.String("out", "dataset.bin", "output dataset path")
 	spec := workload.DefaultSpec()
 	spec.RegisterFlags(fs)
-	var idxf indexFlags
-	idxf.register(fs)
 	fs.Parse(args)
 
-	if *kernels || *cacheSweep {
-		path := *out
-		oSet := false
-		fs.Visit(func(f *flag.Flag) { oSet = oSet || f.Name == "o" })
-		if !oSet {
-			if *cacheSweep {
-				path = "BENCH_cache.json"
-			} else {
-				path = "BENCH_kernels.json"
-			}
-		}
-		if *cacheSweep {
-			runCacheBench(path, *kernelRuns)
-		} else {
-			runKernels(path, *kernelRuns)
-		}
-		return
-	}
-
-	workers := idxf.buildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Every timing is best-of-3: the gate in cmd/benchdiff compares the
-	// load-vs-rebuild speedup across machines and commits, and single
-	// runs of a sub-second build are too noisy (GC, CPU steal on shared
-	// runners) to hold a 25% regression threshold.
-	const runs = 3
-
-	// Sequential baseline: the same eager build on one worker.
-	seq := idxf
-	seq.buildWorkers = 1
-	var seqDur time.Duration
-	for i := 0; i < runs; i++ {
-		_, _, d := buildIndex(spec, &seq)
-		if i == 0 || d < seqDur {
-			seqDur = d
-		}
-	}
-	log.Printf("sequential build: %v (best of %d)", seqDur.Round(time.Millisecond), runs)
-
-	parf := idxf
-	parf.buildWorkers = workers
-	var ix *anns.Index
-	var sx *anns.ShardedIndex
-	var parDur time.Duration
-	for i := 0; i < runs; i++ {
-		a, b, d := buildIndex(spec, &parf)
-		if i == 0 || d < parDur {
-			ix, sx, parDur = a, b, d
-		}
-	}
-	log.Printf("parallel build (%d workers): %v (best of %d)", workers, parDur.Round(time.Millisecond), runs)
-
-	path := *snapPath
-	if path == "" {
-		tmp, err := os.CreateTemp("", "annsctl-bench-*.snap")
-		if err != nil {
-			log.Fatal(err)
-		}
-		tmp.Close()
-		path = tmp.Name()
-		defer os.Remove(path)
-	}
-	bytes, saveDur := save(path, ix, sx)
-	log.Printf("save: %v (%d bytes)", saveDur.Round(time.Millisecond), bytes)
-
-	loadDur := time.Duration(1<<62 - 1)
-	for i := 0; i < 5; i++ { // best of 5: load is a few ms, so noise dominates one run
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t0 := time.Now()
-		_, _, err = anns.LoadAny(f)
-		d := time.Since(t0)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if d < loadDur {
-			loadDur = d
-		}
-	}
-	log.Printf("load: %v", loadDur.Round(time.Millisecond))
-
-	// Zero-copy open: decode the same snapshot through the mmap path
-	// (structural validation only — the page cache is already warm from
-	// the loads above, so this times the open, not the disk).
-	mmapDur := time.Duration(0)
-	var mappedBytes int64
-	for i := 0; i < 5; i++ {
-		t0 := time.Now()
-		l, err := anns.OpenSnapshot(path, anns.LoadMmap)
-		d := time.Since(t0)
-		if err != nil {
-			if errors.Is(err, snapshot.ErrMmapUnavailable) {
-				log.Printf("mmap open: unavailable on this platform, skipping")
-				break
-			}
-			log.Fatal(err)
-		}
-		mappedBytes = l.MappedBytes
-		l.Close()
-		if mmapDur == 0 || d < mmapDur {
-			mmapDur = d
-		}
-	}
-	if mmapDur > 0 {
-		log.Printf("mmap open: %v (%d bytes mapped)", mmapDur.Round(time.Microsecond), mappedBytes)
-	}
-
-	var rec buildBench
-	rec.Config.Kind = spec.Kind
-	rec.Config.N = spec.N
-	rec.Config.D = spec.D
-	rec.Config.K = idxf.k
-	rec.Config.Shards = idxf.shards
-	rec.Config.Reps = idxf.reps
-	rec.Config.Workers = workers
-	rec.Config.HostCPUs = runtime.NumCPU()
-	rec.SeqBuildMS = ms(seqDur)
-	rec.ParBuildMS = ms(parDur)
-	rec.BuildSpeedup = ratio(ms(seqDur), ms(parDur))
-	rec.SaveMS = ms(saveDur)
-	rec.SnapshotBytes = bytes
-	rec.LoadMS = ms(loadDur)
-	rec.LoadVsSeqBuild = ratio(ms(seqDur), ms(loadDur))
-	rec.LoadVsParBuild = ratio(ms(parDur), ms(loadDur))
-	if mmapDur > 0 {
-		rec.MmapOpenMS = ms(mmapDur)
-		rec.MmapVsLoad = ratio(ms(loadDur), ms(mmapDur))
-		rec.MappedBytes = mappedBytes
-	}
-	rec.SnapshotVersion = snapshot.FormatVersion
-
-	data, err := json.MarshalIndent(rec, "", "  ")
+	inst, err := spec.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := dataset.Save(*out, inst); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %s: build %0.0fms → %0.0fms (%.2fx), load %0.1fms (%.0fx faster than rebuild), mmap open %0.3fms (%.0fx faster than load)",
-		*out, rec.SeqBuildMS, rec.ParBuildMS, rec.BuildSpeedup, rec.LoadMS, rec.LoadVsParBuild,
-		rec.MmapOpenMS, rec.MmapVsLoad)
-}
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
+	fmt.Printf("wrote %s: %s\n", *out, inst)
 }

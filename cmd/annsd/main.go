@@ -1,8 +1,8 @@
 // Command annsd is the query-serving daemon. It serves a cell-probe
 // index over HTTP via internal/server; the index either comes from a
 // snapshot file (load on boot, no preprocessing) or is built in-process
-// over a generated workload (or an annsgen dataset) — and a fresh build
-// can be saved for the next boot.
+// over a generated workload (or an `annsctl gen` dataset) — and a fresh
+// build can be saved for the next boot.
 //
 // Usage:
 //
@@ -27,6 +27,8 @@
 // which then also receives compaction snapshots) accepts online
 // /v1/insert and /v1/delete; -wal makes mutations durable across
 // restarts (replayed on boot, truncated when a compaction persists).
+// The mutable tier's flags (-wal, -wal-sync, -memtable, -compact-every,
+// -mutable-sync, -base-snapshot) are refused without -mutable.
 //
 // Two mutable variants serve the replicated write tier (DESIGN.md §11):
 // -mutable with an explicit -shards S serves one MutableSharded process
@@ -56,6 +58,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -81,17 +85,12 @@ func fatalf(format string, args ...any) {
 
 func main() {
 	addr := flag.String("addr", ":7080", "listen address")
-	in := flag.String("in", "", "dataset file from cmd/annsgen (overrides generator flags)")
+	in := flag.String("in", "", "dataset file written by annsctl gen (overrides generator flags)")
 	spec := workload.DefaultSpec()
 	spec.RegisterFlags(flag.CommandLine)
 
-	k := flag.Int("k", 3, "adaptivity budget (rounds)")
-	algo := flag.String("algo", "simple", "simple (Algorithm 1) | soph (Algorithm 2)")
-	gamma := flag.Float64("gamma", 2, "approximation ratio")
-	reps := flag.Int("reps", 1, "independent repetitions (success boosting)")
-	seed := flag.Uint64("seed", 42, "public randomness seed (shards derive their own)")
-	shards := flag.Int("shards", 4, "shard count")
-	buildWorkers := flag.Int("build-workers", 0, "index build worker pool (0 = GOMAXPROCS)")
+	idxf := anns.DefaultBuildFlags()
+	idxf.RegisterFlags(flag.CommandLine)
 	snapPath := flag.String("snapshot", "", "serve the index from this snapshot file instead of building")
 	mmapServe := flag.Bool("mmap", false, "serve the -snapshot zero-copy via mmap (falls back to the heap loader with a logged reason if the file cannot be mapped)")
 	savePath := flag.String("save-snapshot", "", "after building, save the index snapshot here")
@@ -115,6 +114,9 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
 
+	if err := checkMutableFlags(flag.CommandLine, *mutable); err != nil {
+		fatalf("annsd: %v", err)
+	}
 	if *mmapServe {
 		if *snapPath == "" {
 			fatalf("annsd: -mmap requires -snapshot")
@@ -128,25 +130,6 @@ func main() {
 	var dim int
 	var mclose interface{ Close() error } // the mutable tier, whichever shape
 	info := server.IndexInfo{Source: "built"}
-
-	queryOpts := func(d int) anns.Options {
-		opts := anns.Options{
-			Dimension:    d,
-			Gamma:        *gamma,
-			Rounds:       *k,
-			Repetitions:  *reps,
-			Seed:         *seed,
-			BuildWorkers: *buildWorkers,
-		}
-		switch *algo {
-		case "simple":
-		case "soph":
-			opts.Algorithm = anns.Sophisticated
-		default:
-			fatalf("annsd: unknown -algo %q", *algo)
-		}
-		return opts
-	}
 
 	loadInstance := func() *workload.Instance {
 		var inst *workload.Instance
@@ -164,11 +147,7 @@ func main() {
 	}
 
 	shardsSet := false
-	flag.Visit(func(fl *flag.Flag) {
-		if fl.Name == "shards" {
-			shardsSet = true
-		}
-	})
+	flag.Visit(func(fl *flag.Flag) { shardsSet = shardsSet || fl.Name == "shards" })
 
 	if *mutable {
 		if *savePath != "" {
@@ -189,7 +168,7 @@ func main() {
 			SnapshotPath: *snapPath,
 		}
 		switch {
-		case shardsSet && *shards > 1:
+		case shardsSet && idxf.Shards > 1:
 			// Single-process sharded mutable reference (DESIGN.md §11): the
 			// oracle a routed replicated cluster must match byte for byte.
 			if *snapPath != "" || *baseSnap != "" {
@@ -200,7 +179,7 @@ func main() {
 			inst := loadInstance()
 			points := make([]anns.Point, len(inst.DB))
 			copy(points, inst.DB)
-			msx, err := anns.BuildMutableSharded(points, *shards, queryOpts(inst.D), mcfg)
+			msx, err := anns.BuildMutableSharded(points, idxf.Shards, idxf.For(inst.D), mcfg)
 			if err != nil {
 				fatalf("annsd: %v", err)
 			}
@@ -243,7 +222,7 @@ func main() {
 				*baseSnap, st.LiveN, *walPath, st.WALReplayed, st.ReplicationOffset,
 				info.LoadDuration.Round(time.Millisecond))
 		default:
-			mx := bootMutableSingle(&mcfg, *snapPath, loadInstance, queryOpts, &info)
+			mx := bootMutableSingle(&mcfg, *snapPath, loadInstance, idxf, &info)
 			st := mx.MutableStats()
 			dim, idx, mclose = mx.Options().Dimension, mx, mx
 			infof("mutable tier: n=%d (memtable %d, %d sealed, %d tombstones) in %v; wal=%q replayed=%d",
@@ -304,18 +283,17 @@ func main() {
 		}
 	} else {
 		inst := loadInstance()
-		opts := queryOpts(inst.D)
 		start := time.Now()
 		points := make([]anns.Point, len(inst.DB))
 		copy(points, inst.DB)
-		built, err := anns.BuildSharded(points, *shards, opts)
+		built, err := anns.BuildSharded(points, idxf.Shards, idxf.For(inst.D))
 		if err != nil {
 			fatalf("annsd: %v", err)
 		}
 		info.LoadDuration = time.Since(start)
 		sp := built.Space()
 		infof("index: built %d shards over n=%d in %v (k=%d, γ=%v, algo=%s); nominal log₂ cells %.1f",
-			built.Shards(), built.Len(), info.LoadDuration.Round(time.Millisecond), *k, *gamma, *algo,
+			built.Shards(), built.Len(), info.LoadDuration.Round(time.Millisecond), idxf.Rounds, idxf.Gamma, idxf.Algorithm,
 			sp.NominalLog2Cells)
 		if *savePath != "" {
 			t0 := time.Now()
@@ -342,7 +320,7 @@ func main() {
 		CacheEntries:   *cacheEntries,
 		Index:          info,
 		Trace: obs.TracerConfig{
-			Seed:      *seed,
+			Seed:      idxf.Seed,
 			Sample:    *traceSample,
 			SlowQuery: time.Duration(*slowQueryMS) * time.Millisecond,
 			Logger:    logger,
@@ -400,11 +378,35 @@ func main() {
 	}
 }
 
+// mutableOnly names the flags that configure the mutable tier and mean
+// nothing without -mutable.
+var mutableOnly = []string{"base-snapshot", "wal", "wal-sync", "memtable", "compact-every", "mutable-sync"}
+
+// checkMutableFlags rejects a command line that sets a mutable-tier flag
+// without -mutable: such a process would fall through to "build from the
+// workload flags" and serve a generated corpus instead of the snapshot
+// and WAL it was pointed at.
+func checkMutableFlags(fs *flag.FlagSet, mutable bool) error {
+	if mutable {
+		return nil
+	}
+	var stray []string
+	fs.Visit(func(fl *flag.Flag) {
+		if slices.Contains(mutableOnly, fl.Name) {
+			stray = append(stray, "-"+fl.Name)
+		}
+	})
+	if len(stray) > 0 {
+		return fmt.Errorf("%s set without -mutable: these configure the mutable tier and would be ignored", strings.Join(stray, ", "))
+	}
+	return nil
+}
+
 // bootMutableSingle brings up the classic single-shard mutable tier:
 // resume from a mutable snapshot when one exists at snapPath (which then
 // also receives compaction persists), otherwise build the base from the
 // workload flags.
-func bootMutableSingle(mcfg *anns.MutableConfig, snapPath string, loadInstance func() *workload.Instance, queryOpts func(int) anns.Options, info *server.IndexInfo) *anns.MutableIndex {
+func bootMutableSingle(mcfg *anns.MutableConfig, snapPath string, loadInstance func() *workload.Instance, idxf anns.BuildFlags, info *server.IndexInfo) *anns.MutableIndex {
 	start := time.Now()
 	snapExists := false
 	if snapPath != "" {
@@ -443,7 +445,7 @@ func bootMutableSingle(mcfg *anns.MutableConfig, snapPath string, loadInstance f
 	inst := loadInstance()
 	points := make([]anns.Point, len(inst.DB))
 	copy(points, inst.DB)
-	opts := queryOpts(inst.D)
+	opts := idxf.For(inst.D)
 	base, err := anns.Build(points, opts)
 	if err != nil {
 		fatalf("annsd: %v", err)

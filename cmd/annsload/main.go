@@ -1,6 +1,6 @@
 // Command annsload is the load harness for cmd/annsd: it regenerates the
 // same workload the server indexed (same generator flags + seed, or the
-// same annsgen dataset), drives /v1/query under closed-loop or open-loop
+// same `annsctl gen` dataset), drives /v1/query under closed-loop or open-loop
 // (Poisson) arrivals with an optional target-QPS ramp, and reports
 // client-side latency quantiles, achieved QPS, recall against the ground
 // truth, and the aggregate cell-probe accounting — finishing with the

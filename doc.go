@@ -6,7 +6,7 @@
 //
 // The public API lives in package repro/anns; the experiment harness that
 // regenerates the paper's theorem-level tradeoffs is repro/internal/eval,
-// driven by cmd/annsbench and by the benchmarks in bench_test.go.
+// driven by `annsctl paper` — the one command that reproduces the paper.
 // See DESIGN.md for the system inventory (§1) and for the experiment
 // suite and its paper-vs-measured conventions (§4).
 //
@@ -28,7 +28,7 @@
 //     the shard scatter — so both tiers answer, count and trace a
 //     request identically (DESIGN.md §13).
 //   - cmd/annsd and cmd/annsload (load layer): the serving daemon over
-//     generated or annsgen workloads, and a closed-loop / open-loop
+//     generated or `annsctl gen` workloads, and a closed-loop / open-loop
 //     (Poisson, target-QPS ramp) load harness reporting log-bucketed
 //     latency histograms (internal/stats.LogHistogram: p50/p95/p99
 //     within 4.4%, exact min/max, full shape), achieved QPS, recall,
@@ -78,8 +78,8 @@
 // unchanged (per query: Rounds, Probes, ProbesPerRound, BitsRead and
 // AddrBitsSent are byte-identical to the pre-pooling engine; across
 // shards and boosted repetitions: rounds = max, probes = sum). Alloc
-// ceilings are pinned by TestAllocs* in package anns and the before/after
-// record lives in BENCH_query_engine.json.
+// ceilings are pinned, exactly, by TestAllocs* in packages anns,
+// internal/core and internal/sketch.
 //
 // # Index lifecycle
 //
@@ -111,7 +111,8 @@
 //     boots from one in milliseconds instead of re-preprocessing, annsd
 //     -save-snapshot persists a fresh build, and /statsz reports
 //     index_source, snapshot_version, index_load_ms, and mapped_bytes.
-//     Build and load timings are recorded in BENCH_index_build.json.
+//     BenchmarkOpenSnapshot in package anns times the mapped open, the
+//     heap load and the rebuild of one saved index side by side.
 //   - Zero-copy serve: anns.OpenSnapshot(path, mode) opens a snapshot
 //     under an explicit anns.LoadMode — LoadHeap is the copying load
 //     above, LoadMmap maps the file and serves bitvec blocks as views
@@ -177,9 +178,10 @@
 // in O(1). /statsz reports hits, misses, hit_rate, evictions, and
 // invalidations; annsload -compare proves cached and uncached servers
 // byte-identical under mutation churn, and the chaos harness re-proves
-// it under the gray-failure catalog. annsctl bench -cache sweeps
-// zipfian skew into BENCH_cache.json, gated by benchdiff. DESIGN.md
-// §10 has the key derivation and the epoch-invalidation argument.
+// it under the gray-failure catalog. What the cache is worth is the
+// whole-path benchmark's routed-zipf-cached workload against
+// routed-repeat (benchmark/). DESIGN.md §10 has the key derivation and
+// the epoch-invalidation argument.
 //
 // See README.md for the quickstart and binary inventory,
 // internal/server/README.md for the wire format and a copy-paste

@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -116,34 +115,8 @@ func BuildCluster(dir string, shape Shape, seed uint64, dim, n, q, cacheEntries 
 		return nil, err
 	}
 
-	// The shard-split layout: one snapshot per shard + manifest.json.
-	m := &router.Manifest{
-		FormatVersion: router.ManifestVersion,
-		Placement:     router.PlacementRoundRobin,
-		Shards:        sx.Shards(),
-		N:             sx.Len(),
-		Dimension:     dim,
-		Seed:          sx.Options().Seed,
-	}
-	for s := 0; s < sx.Shards(); s++ {
-		name := fmt.Sprintf("shard-%d.snap", s)
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if err := anns.SaveIndex(f, sx.Shard(s)); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		m.Files = append(m.Files, router.ManifestShard{
-			Shard: s, Path: name, N: sx.Shard(s).Len(), Seed: sx.Shard(s).Options().Seed,
-		})
-	}
-	mpath := filepath.Join(dir, "manifest.json")
-	if err := router.WriteManifest(mpath, m); err != nil {
+	mpath, err := router.WriteShardSplit(dir, sx)
+	if err != nil {
 		return nil, err
 	}
 	loaded, err := router.LoadManifest(mpath)

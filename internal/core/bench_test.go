@@ -9,7 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-func benchIndex(b *testing.B, d, n int, k int) (*Index, []bitvec.Vector) {
+func benchIndex(b testing.TB, d, n int, k int) (*Index, []bitvec.Vector) {
 	b.Helper()
 	r := rng.New(777)
 	db := make([]bitvec.Vector, n)

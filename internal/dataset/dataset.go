@@ -1,6 +1,6 @@
-// Package dataset serializes workload instances so that the generation
-// (cmd/annsgen) and querying (cmd/annsquery) tools can hand datasets to
-// each other and to external users. The format is gob with a small header
+// Package dataset serializes workload instances so that `annsctl gen`
+// can hand one corpus and its ground truth to `annsd -in`, `annsload -in`
+// and external users. The format is gob with a small header
 // wrapper; Save/Load round-trip workload.Instance exactly.
 package dataset
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/anns"
 )
 
 // ManifestVersion is the placement-manifest schema version. It versions
@@ -81,6 +83,45 @@ func WriteManifest(path string, m *Manifest) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// WriteShardSplit writes sx into dir (which must exist) as the layout a
+// routed deployment boots from: each shard's *Index as its own
+// single-index snapshot shard-<s>.snap, bootable by `annsd -snapshot` or
+// `-base-snapshot`, plus the placement manifest tying the files back
+// into one logical index, dir/manifest.json, whose path it returns. The
+// shards are exactly the ones BuildSharded produced — same round-robin
+// partition, same derived seeds — so a router over these files answers
+// byte-identically to one process serving sx.
+func WriteShardSplit(dir string, sx *anns.ShardedIndex) (manifestPath string, err error) {
+	m := &Manifest{
+		FormatVersion: ManifestVersion,
+		Placement:     PlacementRoundRobin,
+		Shards:        sx.Shards(),
+		N:             sx.Len(),
+		Dimension:     sx.Options().Dimension,
+		Seed:          sx.Options().Seed,
+	}
+	for s := 0; s < sx.Shards(); s++ {
+		shard := sx.Shard(s)
+		name := fmt.Sprintf("shard-%d.snap", s)
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			return "", err
+		}
+		if err := anns.SaveIndex(f, shard); err != nil {
+			f.Close()
+			return "", err
+		}
+		if err := f.Close(); err != nil {
+			return "", err
+		}
+		m.Files = append(m.Files, ManifestShard{
+			Shard: s, Path: name, N: shard.Len(), Seed: shard.Options().Seed,
+		})
+	}
+	manifestPath = filepath.Join(dir, "manifest.json")
+	return manifestPath, WriteManifest(manifestPath, m)
 }
 
 // LoadManifest reads and validates a placement manifest. Relative file

@@ -3,7 +3,6 @@ package router
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -685,27 +684,27 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 }
 
 // TestRouterSnapshotPath runs the real file-based flow in-process: split
-// the sharded index into per-shard snapshots (as annsctl shard-split
-// does), reload each file, serve the loaded shards, and require
-// router answers to match the original in-memory index.
+// the sharded index into per-shard snapshots plus manifest (the layout
+// annsctl shard-split writes), reload each file through the manifest,
+// serve the loaded shards, and require router answers to match the
+// original in-memory index.
 func TestRouterSnapshotPath(t *testing.T) {
 	const shards = 2
 	sx, inst := buildShards(t, shards)
-	dir := t.TempDir()
+	mpath, err := WriteShardSplit(t.TempDir(), sx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadManifest(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards != shards || m.N != sx.Len() || m.Dimension != testDim || m.Seed != sx.Options().Seed {
+		t.Fatalf("manifest %+v does not describe the index it was split from", m)
+	}
 	var urls [][]string
 	for s := 0; s < shards; s++ {
-		path := filepath.Join(dir, fmt.Sprintf("shard-%d.snap", s))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := anns.SaveIndex(f, sx.Shard(s)); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rf, err := os.Open(path)
+		rf, err := os.Open(m.ShardPath(mpath, s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -713,6 +712,9 @@ func TestRouterSnapshotPath(t *testing.T) {
 		rf.Close()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if loaded.Len() != m.Files[s].N || loaded.Options().Seed != m.Files[s].Seed {
+			t.Fatalf("shard %d: file holds n=%d seed=%d, manifest says %+v", s, loaded.Len(), loaded.Options().Seed, m.Files[s])
 		}
 		ts := serveShard(t, loaded, nil)
 		urls = append(urls, []string{ts.URL})

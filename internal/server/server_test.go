@@ -325,7 +325,8 @@ func TestPointCodecRoundTrip(t *testing.T) {
 }
 
 func TestStatsSchemaMatchesWire(t *testing.T) {
-	// The CLI (cmd/annsquery) prints this schema; pin the field names.
+	// annsload, annsctl inspect and the CI smokes read this schema by
+	// name; pin the field names.
 	raw, err := json.Marshal(StatsSnapshot{})
 	if err != nil {
 		t.Fatal(err)

@@ -188,8 +188,7 @@ type ReadStats struct {
 }
 
 // StatsSnapshot is the body of GET /statsz: monotonic totals since start
-// plus derived rates. cmd/annsquery prints the same schema so CLI and
-// server reports line up field for field.
+// plus derived rates.
 type StatsSnapshot struct {
 	ReadStats
 	QueueLen int `json:"queue_len"`

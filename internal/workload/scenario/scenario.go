@@ -153,7 +153,7 @@ type KeyGen interface {
 }
 
 // NewGen builds a standalone generator for dist over [0, n); exported for
-// harnesses (annsctl bench) that drive key streams without a full scenario.
+// harnesses (benchmark/) that drive key streams without a full scenario.
 func NewGen(dist Dist, n int, theta float64, seed uint64) KeyGen {
 	root := rng.New(seed)
 	return newGen(dist, n, theta, root.Split(tagReadKey), root.Split(tagScramble))
