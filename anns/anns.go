@@ -169,12 +169,20 @@ func Build(points []Point, opts Options) (*Index, error) {
 	// front, across the worker pool): serving indexes answer their first
 	// query at steady-state cost and snapshot without further computation.
 	workers := par.Workers(opts.BuildWorkers)
+	// Algorithm 1 reads only the accurate matrices M_i: a Simple index
+	// draws no coarse family (and sketches the database once per level,
+	// not twice).
+	var s float64
+	if opts.Algorithm == Simple {
+		s = core.NoCoarseFamily
+	}
 	build := func(seed uint64, buildWorkers int) (core.Scheme, *core.Index) {
 		idx := core.BuildIndexParallel(points, opts.Dimension, core.Params{
 			Gamma: opts.Gamma,
 			K:     opts.Rounds,
 			C1:    opts.RowsMultiplier,
 			C2:    opts.RowsMultiplier,
+			S:     s,
 			Seed:  seed,
 		}, buildWorkers)
 		return newScheme(idx, opts), idx
@@ -363,7 +371,8 @@ func (ix *Index) Options() Options { return ix.opts }
 type Space struct {
 	// NominalLog2Cells is log₂ of the cell count of the *model* data
 	// structure (the paper's n^{O(1)} table; astronomically large and never
-	// materialized).
+	// materialized). It counts the tables the scheme can probe: a Simple
+	// index has no auxiliary tables, so only Sophisticated ones count them.
 	NominalLog2Cells float64
 	// MaterializedCells is the number of cells the lazy simulator has
 	// actually evaluated so far.

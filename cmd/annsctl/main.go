@@ -12,7 +12,10 @@
 // A snapshot built here is served by `annsd -snapshot idx.snap` on any
 // host ("serve anywhere"): the file embeds the format version, the paper
 // parameters (d, k, γ, s, repetitions), per-section lengths, and a
-// checksum over the flat index arrays.
+// checksum over the flat index arrays. An index built for Algorithm 1
+// (-algo simple, the default) has no coarse family: inspect shows s=-1,
+// rows=R/0 and no coarse-matrices or coarse-sketches section; only
+// -algo soph snapshots carry those.
 package main
 
 import (
@@ -69,7 +72,8 @@ commands:
                placement manifest for cmd/annsrouter
   inspect      print a snapshot's header, parameters, and section summary —
                or, given an http:// URL, a live server's serving provenance
-               (index source, cache capacity and hit rate, generation)
+               (index source, cache capacity and hit rate, generation);
+               -algo simple snapshots carry no coarse sections (rows=R/0)
   compact      offline-merge a base snapshot and a WAL into one fresh snapshot
   gen          generate a workload and write it as a dataset file for
                annsd -in / annsload -in

@@ -46,21 +46,23 @@ func NewAlgo2(idx *Index, k int) *Algo2 {
 		panic("core: Algo2 needs k >= 2")
 	}
 	if idx.Fam.Coarse == nil {
-		panic("core: Algo2 needs an index built with Params.S > 0")
+		panic(fmt.Sprintf("core: Algo2 needs the coarse family N_j, and this index has none: "+
+			"it was built for Algorithm 1 (Params.S = %v <= 0)", idx.P.S))
 	}
 	s := idx.P.S
 	sCap := int(math.Floor(s))
 	if sCap < 1 {
 		sCap = 1
 	}
-	return &Algo2{idx: idx, k: k, s: s, sCap: sCap, tau: algo2Tau(idx.Fam.L, k, idx.P.CExp, s)}
+	return &Algo2{idx: idx, k: k, s: s, sCap: sCap, tau: algo2Tau(idx.Fam.L, k, s)}
 }
 
 // algo2Tau returns the smallest integer τ ≥ 2 with
 // (τ/2)^{(k−1)/2−2s} ≥ ⌈L/k⌉, the condition in §3.2 that bounds the number
 // of gap-shrinking phases by (k−1)/2 − 2s. With s set by the defaulting
-// rule, the exponent equals k/c and τ = Θ(((log d)/k)^{c/k}).
-func algo2Tau(levels, k int, c, s float64) int {
+// rule, the exponent equals k/c and τ = Θ(((log d)/k)^{c/k}); c enters
+// only through s.
+func algo2Tau(levels, k int, s float64) int {
 	exp := (float64(k)-1)/2 - 2*s
 	if exp < 1 {
 		exp = 1
@@ -73,7 +75,6 @@ func algo2Tau(levels, k int, c, s float64) int {
 	if tau < 2 {
 		tau = 2
 	}
-	_ = c // c enters through s; kept as a parameter for the ablation bench
 	return tau
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -196,19 +197,20 @@ func TestAlgo2Guards(t *testing.T) {
 }
 
 func TestAlgo2NeedsCoarseFamily(t *testing.T) {
-	// S defaults to >= 1 via withDefaults, so build explicitly without it.
+	// S defaults to >= 1 via withDefaults; NoCoarseFamily builds without.
 	r := rng.New(8)
 	db := make([]bitvec.Vector, 40)
 	for i := range db {
 		db[i] = hamming.Random(r, 256)
 	}
-	famOnly := BuildIndex(db, 256, Params{Gamma: 2, S: -1, Seed: 1})
-	if famOnly.Fam.Coarse != nil {
-		t.Skip("negative S still built coarse family")
+	famOnly := BuildIndex(db, 256, Params{Gamma: 2, S: NoCoarseFamily, Seed: 1})
+	if famOnly.Fam.Coarse != nil || famOnly.Tables.Aux != nil {
+		t.Fatal("S = NoCoarseFamily still built a coarse family")
 	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Algo2 without coarse family did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "has none") || !strings.Contains(msg, "built for Algorithm 1") {
+			t.Fatalf("Algo2 without coarse family panicked with %q, want the missing family and its cause named", msg)
 		}
 	}()
 	NewAlgo2(famOnly, 4)
@@ -235,7 +237,7 @@ func TestAlgo2Tau(t *testing.T) {
 		if s < 1 {
 			s = 1
 		}
-		tau := algo2Tau(40, k, 3, s)
+		tau := algo2Tau(40, k, s)
 		exp := (float64(k)-1)/2 - 2*s
 		if exp < 1 {
 			exp = 1

@@ -32,7 +32,7 @@ type Params struct {
 	C2    float64 // coarse sketch rows multiplier (default sketch.DefaultC2)
 	CExp  float64 // Algorithm 2's constant c > 2 (default 3)
 	K     int     // round budget for the schemes built on this index (default 2)
-	S     float64 // Algorithm 2's s; 0 derives it from K and CExp per §3.2
+	S     float64 // Algorithm 2's s; 0 derives it from K and CExp per §3.2, NoCoarseFamily draws no N_j
 	Seed  uint64  // public randomness seed
 
 	// CutFraction and LiteralDeltaCut are forwarded to the sketch family
@@ -40,6 +40,14 @@ type Params struct {
 	CutFraction     float64
 	LiteralDeltaCut bool
 }
+
+// NoCoarseFamily is the S that builds an index for Algorithm 1 alone:
+// the sketch layer draws no coarse matrices N_j for S <= 0, so the
+// index holds neither them nor the database's coarse sketches, and a
+// snapshot of it has no coarse sections. Algorithm 1 reads only the
+// accurate matrices M_i, which come from their own seed splits either
+// way, so its answers and probe accounting do not change.
+const NoCoarseFamily = -1
 
 func (p Params) withDefaults() Params {
 	if p.Gamma == 0 {
@@ -53,8 +61,11 @@ func (p Params) withDefaults() Params {
 	}
 	if p.S == 0 {
 		// s = (1/4 − 1/(2c))·k − 1/4, clamped to ≥ 1 so that small round
-		// budgets (below the paper's k > 5c²/(c−2) regime) still run; with
-		// s = 1 Algorithm 2 degrades gracefully toward Algorithm 1.
+		// budgets (below the paper's k > 5c²/(c−2) regime) still run. At
+		// s = 1 and k < 7 the phase-count exponent (k−1)/2 − 2s is below
+		// 1 and algo2Tau clamps it to 1, so τ = 2⌈L/k⌉ and the scheme
+		// never shrinks toward Algorithm 1: it spends more probes, not
+		// fewer (experiment E2: 22 against Algorithm 1's 9.5).
 		p.S = (0.25-1/(2*p.CExp))*float64(p.K) - 0.25
 		if p.S < 1 {
 			p.S = 1

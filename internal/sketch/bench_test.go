@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -80,5 +81,37 @@ func BenchmarkNewFamily(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewFamily(Params{D: 1024, N: 256, Gamma: 2, S: 1.5, Seed: uint64(i)})
+	}
+}
+
+// BenchmarkApplyBlock sketches a database block at the serving shape
+// (d = 512, 336 rows: c₁ = 24 at n = 16 384) through ApplyBlockInto, as
+// an eager build does once per level, and at n = 512, the block a sealed
+// mutable-tier segment sketches. The parity cases run the row-parity
+// kernel over the same block for comparison.
+func BenchmarkApplyBlock(b *testing.B) {
+	const d, rows = 512, 336
+	for _, n := range []int{16384, 512} {
+		r := rng.New(uint64(n))
+		m := NewBernoulli(r, rows, d, 0.25)
+		src := bitvec.NewBlock(n, d)
+		for i := 0; i < n; i++ {
+			copy(src.Row(i), hamming.Random(r, d))
+		}
+		dst := bitvec.NewBlock(n, rows)
+		for _, k := range []struct {
+			name string
+			run  func(dst, src bitvec.Block)
+		}{
+			{"into", m.ApplyBlockInto},
+			{"parity", m.applyBlockParity},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, k.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.run(dst, src)
+				}
+			})
+		}
 	}
 }

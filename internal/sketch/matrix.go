@@ -141,14 +141,27 @@ func (m *Matrix) ApplyBatchInto(dsts, xs []bitvec.Vector) {
 }
 
 // ApplyBlockInto computes dst.Row(i) = M·src.Row(i) for every row of src
-// through the blocked kernel — the build-path form of ApplyBatchInto,
-// used when a whole database block is sketched at once. dst must have
-// src.Rows() rows of Words(m.NumRows) words.
+// — the build path, used when a whole database block is sketched at once
+// (eager builds, segment seals, compactions, lazy per-level sketches).
+// Blocks large enough to share Four-Russians byte tables go through them
+// (applyBlockTables); smaller ones take the row-parity kernel. Both give
+// the same bits. dst must have src.Rows() rows of Words(m.NumRows) words.
 func (m *Matrix) ApplyBlockInto(dst, src bitvec.Block) {
 	n := src.Rows()
 	if dst.Rows() != n {
 		panic(fmt.Sprintf("sketch: block shape mismatch: %d dst rows, %d src rows", dst.Rows(), n))
 	}
+	if fourRussiansPays(n, m.Dim, m.NumRows) {
+		m.applyBlockTables(dst, src)
+		return
+	}
+	m.applyBlockParity(dst, src)
+}
+
+// applyBlockParity is ApplyBlockInto through the row-parity kernel
+// (applyBlock4 over groups of batchWidth points, ApplyInto for the tail).
+func (m *Matrix) applyBlockParity(dst, src bitvec.Block) {
+	n := src.Rows()
 	var ds, ss [batchWidth]bitvec.Vector
 	i := 0
 	for ; i+batchWidth <= n; i += batchWidth {
