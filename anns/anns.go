@@ -172,9 +172,9 @@ func Build(points []Point, opts Options) (*Index, error) {
 	// Algorithm 1 reads only the accurate matrices M_i: a Simple index
 	// draws no coarse family (and sketches the database once per level,
 	// not twice).
-	var s float64
+	var coarseS float64
 	if opts.Algorithm == Simple {
-		s = core.NoCoarseFamily
+		coarseS = core.NoCoarseFamily
 	}
 	build := func(seed uint64, buildWorkers int) (core.Scheme, *core.Index) {
 		idx := core.BuildIndexParallel(points, opts.Dimension, core.Params{
@@ -182,7 +182,7 @@ func Build(points []Point, opts Options) (*Index, error) {
 			K:     opts.Rounds,
 			C1:    opts.RowsMultiplier,
 			C2:    opts.RowsMultiplier,
-			S:     s,
+			S:     coarseS,
 			Seed:  seed,
 		}, buildWorkers)
 		return newScheme(idx, opts), idx
@@ -371,8 +371,10 @@ func (ix *Index) Options() Options { return ix.opts }
 type Space struct {
 	// NominalLog2Cells is log₂ of the cell count of the *model* data
 	// structure (the paper's n^{O(1)} table; astronomically large and never
-	// materialized). It counts the tables the scheme can probe: a Simple
-	// index has no auxiliary tables, so only Sophisticated ones count them.
+	// materialized). It counts the tables the index holds: a Simple index
+	// built now has no auxiliary tables, but one loaded from a snapshot
+	// written with coarse sections still holds and counts them until it
+	// is rebuilt.
 	NominalLog2Cells float64
 	// MaterializedCells is the number of cells the lazy simulator has
 	// actually evaluated so far.

@@ -47,7 +47,9 @@ func sameCoreOutcome(t *testing.T, label string, a, b core.Scheme, queries []Poi
 // before Simple builds dropped the coarse family — a Simple index whose
 // core was built with S = 1, so each body carries sections 3 and 5 —
 // still load through both LoadIndex and OpenSnapshot and answer exactly
-// as the coarse-free build of the same points and seed does.
+// as the coarse-free build of the same points and seed does. Only
+// Space().NominalLog2Cells differs: it still counts the older file's
+// auxiliary tables.
 func TestSimpleSnapshotWithCoarseSectionsStillLoads(t *testing.T) {
 	const d = 128
 	db, queries := loadTestCorpus(t, 96, d, 4242)
@@ -87,6 +89,11 @@ func TestSimpleSnapshotWithCoarseSectionsStillLoads(t *testing.T) {
 	}
 	sameServing(t, "LoadIndex(old) vs Build", fresh, streamed, queries)
 	sameCoreOutcome(t, "LoadIndex(old) vs Build", fresh.scheme, streamed.scheme, queries)
+	// The one number that differs: the older file's auxiliary tables
+	// exist, so its nominal space counts them until it is rebuilt.
+	if o, n := streamed.Space().NominalLog2Cells, fresh.Space().NominalLog2Cells; o <= n {
+		t.Errorf("older file's NominalLog2Cells %v not above the coarse-free build's %v", o, n)
+	}
 	for _, mode := range []LoadMode{LoadHeap, LoadMmap} {
 		l, err := OpenSnapshot(oldPath, mode)
 		if err != nil {

@@ -85,13 +85,14 @@ func BenchmarkNewFamily(b *testing.B) {
 }
 
 // BenchmarkApplyBlock sketches a database block at the serving shape
-// (d = 512, 336 rows: c₁ = 24 at n = 16 384) through ApplyBlockInto, as
-// an eager build does once per level, and at n = 512, the block a sealed
-// mutable-tier segment sketches. The parity cases run the row-parity
-// kernel over the same block for comparison.
+// (d = 512, 336 rows: c₁ = 24 at n = 16 384) as an eager build does once
+// per level, at n = 512 (a segment the benchmark's churn workload seals),
+// and at n = 128…8, around where the two kernels cross (small
+// MemtableCap seals). "into" is ApplyBlockInto's own choice; "tables"
+// and "parity" force each kernel over the same block.
 func BenchmarkApplyBlock(b *testing.B) {
 	const d, rows = 512, 336
-	for _, n := range []int{16384, 512} {
+	for _, n := range []int{16384, 512, 128, 64, 32, 8} {
 		r := rng.New(uint64(n))
 		m := NewBernoulli(r, rows, d, 0.25)
 		src := bitvec.NewBlock(n, d)
@@ -104,6 +105,7 @@ func BenchmarkApplyBlock(b *testing.B) {
 			run  func(dst, src bitvec.Block)
 		}{
 			{"into", m.ApplyBlockInto},
+			{"tables", m.applyBlockTables},
 			{"parity", m.applyBlockParity},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, k.name), func(b *testing.B) {

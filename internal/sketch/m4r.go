@@ -15,7 +15,8 @@ import (
 // b. Then M·z = XOR_g T_g[z_g]: per byte of z, one lookup for each of
 // the Words(rows) output words, instead of one row-AND plus parity per
 // row of M. The tables cost 256 entries per group to build, so they pay
-// off once a block has enough points to share them (fourRussiansPays).
+// off only once a block has enough points to share them
+// (fourRussiansPays).
 
 // m4rChunkWords is how many words of z (8 byte groups each) one pass of
 // tables covers: at 336 rows, 2 words = 16 groups = 192 KiB of tables,
@@ -36,9 +37,17 @@ var m4rPool = sync.Pool{New: func() any { return new(m4rScratch) }}
 // Row parity spends rows·(w+1) per point (w ANDs plus a popcount per
 // row); the tables spend 256·r per byte group once (the build) and r per
 // byte group per point (the lookup), where w = Words(d), r =
-// Words(rows) and there are 8w byte groups. The build and the lookups
-// are charged double: the build writes every entry it reads, and a
-// lookup is a dependent load from a table far larger than L1.
+// Words(rows) and there are 8w byte groups. The table side is weighted
+// 2×, fitted to measured crossovers (BenchmarkApplyBlock, and a sweep of
+// both kernels at n = 16…256 on a two-thread Xeon). At d = 512 and 336
+// rows the kernels cross between n = 64 (tables 1.2× slower) and 128
+// (1.4× faster); the count switches at n ≈ 87. Over d = 64…1 000 and
+// 64…336 rows it switches at most 1.8× past the measured crossover,
+// where row parity is at most 1.5× slower; at 8 rows (one output word)
+// it never switches, and the tables measured slower up to n = 256.
+// Blocks below the switch are real: a mutable tier seals MemtableCap
+// points at a time (4 in the chaos suite, 32 in the benchmark's quick
+// churn run), and at n = 8 the tables cost 9× the row-parity kernel.
 func fourRussiansPays(n, d, rows int) bool {
 	w, r := bitvec.Words(d), bitvec.Words(rows)
 	parity := n * rows * (w + 1)

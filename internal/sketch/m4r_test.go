@@ -4,98 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
-	"repro/internal/hamming"
 	"repro/internal/rng"
 )
-
-// oracleBlock sketches src through applyBlock4 alone — the row-parity
-// kernel the query path runs — padding the last group of points with
-// zero rows so every point goes through the four-wide body.
-func oracleBlock(m *Matrix, src bitvec.Block) bitvec.Block {
-	n := src.Rows()
-	out := bitvec.NewBlock(n, m.NumRows)
-	words := src.RowWords
-	var ds, xs [batchWidth]bitvec.Vector
-	for i := 0; i < n; i += batchWidth {
-		for j := 0; j < batchWidth; j++ {
-			if i+j < n {
-				ds[j], xs[j] = out.Row(i+j), src.Row(i+j)
-			} else {
-				ds[j], xs[j] = bitvec.New(m.NumRows), make(bitvec.Vector, words)
-			}
-		}
-		m.applyBlock4(ds[:], xs[:])
-	}
-	return out
-}
-
-// checkBlockKernels runs both build kernels on src over garbage-filled
-// destinations and compares every row with the applyBlock4 oracle.
-func checkBlockKernels(t *testing.T, m *Matrix, src bitvec.Block) {
-	t.Helper()
-	want := oracleBlock(m, src)
-	for _, k := range []struct {
-		name string
-		run  func(dst, src bitvec.Block)
-	}{
-		{"ApplyBlockInto", m.ApplyBlockInto},
-		{"applyBlockTables", m.applyBlockTables},
-	} {
-		dst := bitvec.NewBlock(src.Rows(), m.NumRows)
-		for i := range dst.Words {
-			dst.Words[i] = ^uint64(0) // stale garbage must be overwritten
-		}
-		k.run(dst, src)
-		for i := 0; i < src.Rows(); i++ {
-			if !bitvec.Equal(dst.Row(i), want.Row(i)) {
-				t.Fatalf("%s %dx%d n=%d: row %d = %v, applyBlock4 gives %v",
-					k.name, m.NumRows, m.Dim, src.Rows(), i, dst.Row(i), want.Row(i))
-			}
-		}
-	}
-}
-
-// TestApplyBlockIntoMatchesApplyBlock4 is the exactness quick-check of
-// the Four-Russians build kernel: every (d, rows, n) corner — a partial
-// last word of z, one row, rows either side of a word boundary, the
-// serving shape of 336 rows, and blocks from one point to a sealed
-// segment — gives the bits of the row-parity kernel, through the forced
-// table path and through ApplyBlockInto's own choice.
-func TestApplyBlockIntoMatchesApplyBlock4(t *testing.T) {
-	r := rng.New(83)
-	for _, d := range []int{64, 100, 512, 1000} {
-		for _, rows := range []int{1, 63, 64, 336} {
-			for _, n := range []int{1, 3, 4, 512} {
-				// Dense and sparse scales: p = 1/4 is level 0, p = 1/64 a
-				// high level with mostly empty columns.
-				for _, p := range []float64{0.25, 1.0 / 64} {
-					m := NewBernoulli(r, rows, d, p)
-					src := bitvec.NewBlock(n, d)
-					for i := 0; i < n; i++ {
-						copy(src.Row(i), hamming.Random(r, d))
-					}
-					checkBlockKernels(t, m, src)
-				}
-			}
-		}
-	}
-}
-
-// TestApplyBlockTablesIgnoresNothing feeds words with bits set past Dim
-// in both the matrix rows and the points: the row-parity kernel folds
-// whole words, so the tables must too.
-func TestApplyBlockTablesIgnoresNothing(t *testing.T) {
-	r := rng.New(84)
-	m := NewBernoulli(r, 70, 100, 0.3)
-	for i := range m.block.Words {
-		m.block.Words[i] ^= r.Uint64()
-	}
-	src := bitvec.NewBlock(9, 100)
-	for i := range src.Words {
-		src.Words[i] = r.Uint64()
-	}
-	checkBlockKernels(t, m, src)
-}
 
 func TestTranspose64(t *testing.T) {
 	r := rng.New(85)
@@ -114,17 +24,22 @@ func TestTranspose64(t *testing.T) {
 	}
 }
 
-// TestFourRussiansPaysAtServingShapes pins the kernel choice at the
-// shapes the build runs: a whole index and a sealed 512-point segment
-// take the tables; a handful of points keeps the row-parity kernel.
+// TestFourRussiansPaysAtServingShapes pins the kernel choice where
+// BenchmarkApplyBlock measures it (d = 512, 336 rows: the two kernels
+// cross between n = 64 and n = 128): a whole index and a sealed segment
+// take the tables; a four-point segment (MemtableCap 4), n = 64 and a
+// matrix of one output word at any n keep the row-parity kernel.
 func TestFourRussiansPaysAtServingShapes(t *testing.T) {
 	for _, c := range []struct {
 		n, d, rows int
 		want       bool
 	}{
 		{16384, 512, 336, true},
-		{512, 512, 216, true},
+		{512, 512, 336, true},
+		{128, 512, 336, true},
+		{64, 512, 336, false},
 		{4, 512, 336, false},
+		{16384, 512, 8, false},
 	} {
 		if got := fourRussiansPays(c.n, c.d, c.rows); got != c.want {
 			t.Errorf("fourRussiansPays(n=%d, d=%d, rows=%d) = %v, want %v", c.n, c.d, c.rows, got, c.want)
@@ -132,21 +47,30 @@ func TestFourRussiansPaysAtServingShapes(t *testing.T) {
 	}
 }
 
-// FuzzApplyBlockInto drives both build kernels with fuzzer-chosen shapes,
-// densities and seeds against the applyBlock4 oracle.
+// FuzzApplyBlockInto drives ApplyBlockInto and the table path with
+// fuzzer-chosen shapes, densities and seeds against the row-parity
+// kernel. Points carry bits past d, and with dirty set so do the
+// matrix's rows: the row-parity kernel folds whole words, so the tables
+// must too.
 func FuzzApplyBlockInto(f *testing.F) {
-	f.Add(uint16(512), uint16(336), uint16(5), uint8(64), uint64(1))
-	f.Add(uint16(100), uint16(63), uint16(1), uint8(255), uint64(2))
-	f.Add(uint16(1000), uint16(64), uint16(17), uint8(4), uint64(3))
-	f.Fuzz(func(t *testing.T, d, rows, n uint16, density uint8, seed uint64) {
+	f.Add(uint16(512), uint16(336), uint16(5), uint8(64), false, uint64(1))
+	f.Add(uint16(100), uint16(63), uint16(1), uint8(255), false, uint64(2))
+	f.Add(uint16(1000), uint16(64), uint16(17), uint8(4), false, uint64(3))
+	f.Add(uint16(100), uint16(70), uint16(9), uint8(76), true, uint64(84))
+	f.Fuzz(func(t *testing.T, d, rows, n uint16, density uint8, dirty bool, seed uint64) {
 		dd, rr, nn := 1+int(d%1100), 1+int(rows%400), int(n%40)
 		p := (1 + float64(density)) / 256
 		r := rng.New(seed)
 		m := NewBernoulli(r, rr, dd, p)
+		if dirty {
+			for i := range m.block.Words {
+				m.block.Words[i] ^= r.Uint64()
+			}
+		}
 		src := bitvec.NewBlock(nn, dd)
 		for i := range src.Words {
-			src.Words[i] = r.Uint64() // bits past d too: both kernels fold whole words
+			src.Words[i] = r.Uint64()
 		}
-		checkBlockKernels(t, m, src)
+		checkApplyBlock(t, m, src)
 	})
 }

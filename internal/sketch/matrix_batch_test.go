@@ -99,26 +99,71 @@ func TestApplyBatchIntoShapeMismatchPanics(t *testing.T) {
 	m.ApplyBatchInto(make([]bitvec.Vector, 2), make([]bitvec.Vector, 3))
 }
 
-// TestApplyBlockIntoQuickCheck pins the build-path block form against
-// per-row ApplyInto across random shapes, including row counts in every
-// residue class of the block width.
+// checkApplyBlock runs ApplyBlockInto (its own kernel choice) and the
+// forced Four-Russians table path on src over garbage-filled destinations
+// and compares every row with the row-parity kernel (ApplyBatchInto:
+// applyBlock4 over groups of four, ApplyInto for the tail).
+func checkApplyBlock(t *testing.T, m *Matrix, src bitvec.Block) {
+	t.Helper()
+	n := src.Rows()
+	want := bitvec.NewBlock(n, m.NumRows)
+	dsts, xs := make([]bitvec.Vector, n), make([]bitvec.Vector, n)
+	for i := range xs {
+		dsts[i], xs[i] = want.Row(i), src.Row(i)
+	}
+	m.ApplyBatchInto(dsts, xs)
+	for _, k := range []struct {
+		name string
+		run  func(dst, src bitvec.Block)
+	}{
+		{"ApplyBlockInto", m.ApplyBlockInto},
+		{"applyBlockTables", m.applyBlockTables},
+	} {
+		dst := bitvec.NewBlock(n, m.NumRows)
+		for i := range dst.Words {
+			dst.Words[i] = ^uint64(0) // stale contents must be overwritten
+		}
+		k.run(dst, src)
+		for i := 0; i < n; i++ {
+			if !bitvec.Equal(dst.Row(i), want.Row(i)) {
+				t.Fatalf("%s %dx%d n=%d: row %d = %v, row parity gives %v",
+					k.name, m.NumRows, m.Dim, n, i, dst.Row(i), want.Row(i))
+			}
+		}
+	}
+}
+
+// TestApplyBlockIntoQuickCheck pins the build-path block form, through
+// ApplyBlockInto and through the forced table path, against the
+// row-parity kernel: first random shapes with row counts in every
+// residue class of the block width, then every corner of d ∈ {64, 100,
+// 512, 1000} × rows ∈ {1, 63, 64, 336} × n ∈ {1, 3, 4, 512} (a partial
+// last word of z, one row, rows either side of a word boundary, the
+// serving shape, one point up to a sealed segment) at a dense level
+// (p = 1/4) and a sparse one (p = 1/64, mostly empty columns).
 func TestApplyBlockIntoQuickCheck(t *testing.T) {
 	r := rng.New(81)
+	randomBlock := func(n, d int) bitvec.Block {
+		src := bitvec.NewBlock(n, d)
+		for i := 0; i < n; i++ {
+			copy(src.Row(i), hamming.Random(r, d))
+		}
+		return src
+	}
 	for trial := 0; trial < 40; trial++ {
 		rows := 1 + int(r.Uint64()%150)
 		d := 1 + int(r.Uint64()%1024)
 		n := int(r.Uint64() % 23) // 0..22 database rows
 		m := NewBernoulli(r, rows, d, 0.08)
-		src := bitvec.NewBlock(n, d)
-		for i := 0; i < n; i++ {
-			copy(src.Row(i), hamming.Random(r, d))
-		}
-		dst := bitvec.NewBlock(n, rows)
-		m.ApplyBlockInto(dst, src)
-		for i := 0; i < n; i++ {
-			want := m.ApplyInto(bitvec.New(rows), src.Row(i))
-			if !bitvec.Equal(dst.Row(i), want) {
-				t.Fatalf("trial %d (%dx%d, n=%d): row %d diverges", trial, rows, d, n, i)
+		checkApplyBlock(t, m, randomBlock(n, d))
+	}
+	for _, d := range []int{64, 100, 512, 1000} {
+		for _, rows := range []int{1, 63, 64, 336} {
+			for _, n := range []int{1, 3, 4, 512} {
+				for _, p := range []float64{0.25, 1.0 / 64} {
+					m := NewBernoulli(r, rows, d, p)
+					checkApplyBlock(t, m, randomBlock(n, d))
+				}
 			}
 		}
 	}
