@@ -14,8 +14,8 @@ import (
 
 // churnOracle is an independently written reference implementation of
 // the mutable tier's query semantics: it mirrors the documented state
-// machine (memtable seals at the cap, segments build with
-// SegmentSeed(seed, seq), compactions rebuild over ID-ascending live
+// machine (memtable seals at the cap into a raw segment that is scanned
+// exactly like the memtable, compactions rebuild over ID-ascending live
 // points with CompactionSeed(seed, epoch)) and folds per-tier answers
 // with the exported MergeShardReplies. The churn test drives the real
 // MutableIndex and this oracle through the same fixed-seed operation
@@ -29,14 +29,12 @@ type churnOracle struct {
 	base    *anns.Index
 	basePts []anns.Point
 	baseIDs []uint64
-	segIdx  []*anns.Index
 	segPts  [][]anns.Point
 	segIDs  [][]uint64
 	memIDs  []uint64
 	memPts  []anns.Point
 	dead    map[uint64]bool
 	nextID  uint64
-	segSeq  uint64
 	epoch   uint64
 }
 
@@ -45,14 +43,6 @@ func (o *churnOracle) insert(p anns.Point) {
 	o.memPts = append(o.memPts, p)
 	o.nextID++
 	if len(o.memIDs) >= o.cap_ {
-		opts := o.opts
-		opts.Seed = anns.SegmentSeed(o.opts.Seed, o.segSeq)
-		o.segSeq++
-		ix, err := anns.Build(o.memPts, opts)
-		if err != nil {
-			o.t.Fatalf("oracle segment build: %v", err)
-		}
-		o.segIdx = append(o.segIdx, ix)
 		o.segPts = append(o.segPts, o.memPts)
 		o.segIDs = append(o.segIDs, o.memIDs)
 		o.memIDs, o.memPts = nil, nil
@@ -92,7 +82,7 @@ func (o *churnOracle) compact() {
 		o.t.Fatalf("oracle compaction build: %v", err)
 	}
 	o.base, o.basePts, o.baseIDs = ix, pts, ids
-	o.segIdx, o.segPts, o.segIDs = nil, nil, nil
+	o.segPts, o.segIDs = nil, nil
 	// Tombstones the compaction applied are retired; the memtable's
 	// tombstoned entries (not captured) keep theirs.
 	live := map[uint64]bool{}
@@ -120,18 +110,14 @@ func (o *churnOracle) query(x anns.Point) (anns.Result, bool) {
 		replies = append(replies, anns.ShardReply{Result: res, OK: ok})
 		idmaps = append(idmaps, ids)
 	}
-	if o.base != nil {
-		ask(o.base, o.baseIDs)
-	}
-	for s, ix := range o.segIdx {
-		ask(ix, o.segIDs[s])
-	}
-	if len(o.memIDs) > 0 {
+	// Sealed segments and the memtable are exact scans: one round, one
+	// probe per stored entry, dead entries skipped, first minimum wins.
+	scan := func(ids []uint64, pts []anns.Point) {
 		res := anns.Result{Index: -1, Distance: -1, Rounds: 1,
-			Probes: len(o.memIDs), MaxParallel: len(o.memIDs)}
+			Probes: len(ids), MaxParallel: len(ids)}
 		ok := false
-		for j, p := range o.memPts {
-			if o.dead[o.memIDs[j]] {
+		for j, p := range pts {
+			if o.dead[ids[j]] {
 				continue
 			}
 			dist := bitvec.Distance(p, x)
@@ -141,7 +127,16 @@ func (o *churnOracle) query(x anns.Point) (anns.Result, bool) {
 			}
 		}
 		replies = append(replies, anns.ShardReply{Result: res, OK: ok})
-		idmaps = append(idmaps, o.memIDs)
+		idmaps = append(idmaps, ids)
+	}
+	if o.base != nil {
+		ask(o.base, o.baseIDs)
+	}
+	for s, ids := range o.segIDs {
+		scan(ids, o.segPts[s])
+	}
+	if len(o.memIDs) > 0 {
+		scan(o.memIDs, o.memPts)
 	}
 	if len(replies) == 0 {
 		return anns.Result{Index: -1, Distance: -1}, false
@@ -219,8 +214,8 @@ func TestChurnMatchesReferenceFold(t *testing.T) {
 		}
 	}
 	st := mx.MutableStats()
-	if st.Sealed == 0 || st.SegmentsBuilt == 0 {
-		t.Fatalf("churn never sealed a segment (stats %+v) — the test lost its teeth", st)
+	if st.Sealed < 2 {
+		t.Fatalf("churn sealed fewer than two segments (stats %+v) — the test lost its teeth", st)
 	}
 }
 
@@ -323,7 +318,7 @@ func TestCompactionBoundaryMatchesRebuild(t *testing.T) {
 }
 
 // TestQueryRacesSealAndCompaction drives concurrent queries against an
-// asynchronous tier while inserts force seals, background builds, and
+// asynchronous tier while inserts force seals and background
 // auto-compactions. Every answer must stay valid — a live ID with the
 // correct distance — whichever side of a seal or swap the query lands
 // on. Run under -race in CI.
@@ -393,7 +388,7 @@ func TestQueryRacesSealAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if st := mx.MutableStats(); st.Compactions == 0 || st.SegmentsBuilt == 0 {
+	if st := mx.MutableStats(); st.Compactions == 0 { // a compaction needs two seals
 		t.Fatalf("race test exercised no seals/compactions: %+v", st)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // TestMutableGeneration pins the invalidation contract the result cache
 // depends on: the generation counter advances on every state change that
 // can alter a query's folded reply — insert, delete, memtable seal,
-// segment build landing, flush, and compaction swap — and never moves
+// flush, and compaction swap — and never moves
 // while the structure is quiescent.
 func TestMutableGeneration(t *testing.T) {
 	const d = 128
@@ -51,17 +51,16 @@ func TestMutableGeneration(t *testing.T) {
 		t.Fatalf("delete did not advance generation: %d -> %d", g1, g2)
 	}
 
-	// Filling the memtable to MemtableCap seals it AND (synchronous mode)
-	// lands the segment build: the generation must advance past the pure
-	// per-insert bumps — sealing and the build landing each count.
+	// Filling the memtable to MemtableCap seals it: the generation must
+	// advance past the pure per-insert bumps — the seal counts once.
 	for i := 0; i < 4; i++ {
 		if _, err := mx.Insert(hamming.Random(r, d)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	g3 := mx.Generation()
-	if g3 < g2+4+2 {
-		t.Fatalf("seal+build did not advance generation beyond inserts: %d -> %d", g2, g3)
+	if g3 != g2+4+1 {
+		t.Fatalf("four inserts and one seal moved generation %d -> %d, want %d", g2, g3, g2+4+1)
 	}
 
 	// Flush of a non-empty memtable bumps.

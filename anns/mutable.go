@@ -20,13 +20,12 @@ import (
 //	memtable          bounded in-memory buffer of fresh inserts, queried
 //	                  by exact brute-force Hamming scan (1 round, one
 //	                  probe per entry)
-//	sealed segments   memtables that hit MemtableCap, frozen and handed
-//	                  to a background build of an immutable mini-index
-//	                  (the exact Build the static path uses); queried by
-//	                  scan until their index lands
+//	sealed segments   memtables that hit MemtableCap, frozen and queried
+//	                  by the same exact scan until compaction folds them
 //	base              the static index (the boot snapshot, or the last
 //	                  compaction's from-scratch rebuild over live points)
-//	tombstones        deleted point IDs, consulted at merge time and
+//	tombstones        deleted point IDs, skipped by the scans, filtered
+//	                  from the base's answer at merge time, and
 //	                  physically applied by the next compaction
 //
 // A query fans out over {base, sealed segments, memtable} and folds the
@@ -37,38 +36,40 @@ import (
 // uint64 ID (the base's build positions, then sequentially assigned by
 // Insert); Result.Index reports IDs, and Delete addresses them.
 //
-// A background compactor folds base + sealed segments into a fresh
-// static build over the live points and swaps it in atomically; with a
-// configured WAL every mutation is durable before it is acknowledged,
-// boot replays the log, and a post-compaction snapshot truncates it.
+// The base is the only tier that runs the paper's scheme: at the size
+// of a sealed memtable an exact scan is cheaper than asking a built
+// index, so the compactor's Build is the tier's only one. It folds base
+// + sealed segments into a fresh static build over the live points and
+// swaps it in atomically; with a configured WAL every mutation is
+// durable before it is acknowledged, boot replays the log, and a
+// post-compaction snapshot truncates it.
 type MutableIndex struct {
 	cfg  MutableConfig
 	opts Options
 
 	mu      sync.RWMutex
 	base    *Index
-	baseIDs []uint64 // baseIDs[j] = ID of base row j; nil ⇒ identity
-	segs    []*mutSegment
+	baseIDs []uint64            // baseIDs[j] = ID of base row j; nil ⇒ identity
+	segs    []*segment.Memtable // sealed, oldest first
 	mem     *segment.Memtable
 	tomb    *segment.IDSet // deleted, not yet compacted away
 	present *segment.IDSet // live IDs (for Delete validation and Len)
 	nextID  uint64
-	segSeq  uint64 // next sealed-segment sequence number (seed derivation)
 	epoch   uint64 // next compaction epoch (seed derivation)
 	replSeq uint64 // mutations applied since base (replication offset, §11)
 	closed  bool
 
 	// gen is the index generation: it advances on every state change that
 	// can alter a query's folded reply (insert, delete, memtable seal,
-	// segment mini-index landing, flush, compaction swap). Readers pair it
-	// with a query result to know which epoch the answer belongs to; the
-	// serving layer's result cache keys its validity on it (DESIGN.md §10).
+	// flush, compaction swap). Readers pair it with a query result to know
+	// which epoch the answer belongs to; the serving layer's result cache
+	// keys its validity on it (DESIGN.md §10).
 	gen atomic.Uint64
 
-	inserts, deletes, compactions, built int64
-	walReplayed                          int
-	lastCompactErr                       string
-	compactQueued                        bool
+	inserts, deletes, compactions int64
+	walReplayed                   int
+	lastCompactErr                string
+	compactQueued                 bool
 
 	wal       *segment.WAL
 	replaying bool
@@ -82,33 +83,25 @@ type MutableIndex struct {
 	pending    sync.WaitGroup
 }
 
-// mutSegment is one sealed memtable: scanned raw until its mini-index
-// build (seeded by SegmentSeed(seed, seq)) lands in idx.
-type mutSegment struct {
-	seq uint64
-	mem *segment.Memtable
-	idx atomic.Pointer[Index]
-}
-
 // MutableConfig tunes the mutable tier. Zero values select the defaults
 // noted on each field.
 type MutableConfig struct {
-	// Options are the build options for sealed segments and compactions
-	// (and the base, when NewMutable starts empty). When layering over an
-	// existing base index the zero value adopts the base's options.
+	// Options are the build options for compactions (and the base, when
+	// NewMutable starts empty). When layering over an existing base index
+	// the zero value adopts the base's options.
 	Options Options
 	// MemtableCap is the seal threshold: an insert that fills the
 	// memtable to this size freezes it into a segment. Default 1024,
-	// minimum 2 (a segment must be buildable).
+	// minimum 2.
 	MemtableCap int
 	// CompactEvery triggers a compaction when the sealed-segment count
 	// reaches it. 0 disables auto-compaction (Compact stays available).
 	CompactEvery int
-	// Synchronous runs segment builds and triggered compactions inline on
-	// the mutating call instead of on the background worker. Mutations
-	// get seal/compaction latency spikes, but the structure evolves
-	// deterministically with the operation sequence — what the churn
-	// tests and the annsload -compare harness need.
+	// Synchronous runs triggered compactions inline on the mutating call
+	// instead of on the background worker. Mutations get compaction
+	// latency spikes, but the structure evolves deterministically with the
+	// operation sequence — what the churn tests and the annsload -compare
+	// harness need.
 	Synchronous bool
 	// WALPath enables the write-ahead log at that path: appended (and
 	// fsynced, per WALSyncEvery) before a mutation is acknowledged,
@@ -147,9 +140,13 @@ type MutableStats struct {
 	// Memtable is the current unsealed entry count; Sealed the sealed
 	// segment count awaiting compaction.
 	Memtable, Sealed int
-	// SegmentsBuilt counts mini-index builds completed; Compactions the
-	// base rebuilds swapped in.
-	SegmentsBuilt, Compactions int64
+	// Compactions counts the base rebuilds swapped in.
+	Compactions int64
+	// SegmentsBuilt is always 0: sealed segments are never built.
+	//
+	// Deprecated: kept for source compatibility; read Sealed and
+	// Compactions instead.
+	SegmentsBuilt int64
 	// Tombstones counts deletes not yet applied by compaction.
 	Tombstones int
 	// NextID is the next insert's ID.
@@ -170,16 +167,11 @@ type MutableStats struct {
 	Generation uint64
 }
 
-// SegmentSeed derives the public-randomness seed of sealed segment seq,
-// and CompactionSeed the seed of compaction epoch e, from the tier's
-// user seed. Both are exported so an oracle (or an operator) can rebuild
-// exactly the index the tier built: the churn tests' byte-identical
-// equivalence rests on these being pure functions of (seed, counter).
-func SegmentSeed(seed, seq uint64) uint64 {
-	return splitSeed(seed^0x5e65a11d5eed0001, int(seq))
-}
-
-// CompactionSeed is SegmentSeed's counterpart for compaction epochs.
+// CompactionSeed derives the public-randomness seed of compaction epoch
+// e from the tier's user seed. It is exported so an oracle (or an
+// operator) can rebuild exactly the base the tier built: the churn
+// tests' byte-identical equivalence rests on it being a pure function
+// of (seed, epoch).
 func CompactionSeed(seed, epoch uint64) uint64 {
 	return splitSeed(seed^0xc0a9ac7105eed002, int(epoch))
 }
@@ -258,9 +250,9 @@ func (mx *MutableIndex) applyWAL(op segment.Op) error {
 			return fmt.Errorf("insert id %d does not continue this base (want %d)", op.ID, mx.nextID)
 		}
 		mx.mu.Lock()
-		sealed, compact := mx.applyInsertLocked(op.ID, op.Point)
+		compact := mx.applyInsertLocked(op.ID, op.Point)
 		mx.mu.Unlock()
-		mx.follow(sealed, compact)
+		mx.follow(compact)
 	case segment.OpDelete:
 		if !mx.present.Has(op.ID) {
 			return fmt.Errorf("delete of id %d which is not live under this base", op.ID)
@@ -276,7 +268,7 @@ func (mx *MutableIndex) applyWAL(op segment.Op) error {
 
 // run hands f to the background worker, or runs it inline in synchronous
 // mode and during replay. After Close it is dropped (the work — a
-// segment build or compaction — is an optimization, never a promise).
+// compaction — is an optimization, never a promise).
 func (mx *MutableIndex) run(f func()) {
 	if mx.tasks == nil {
 		f()
@@ -294,11 +286,8 @@ func (mx *MutableIndex) run(f func()) {
 	}
 }
 
-// follow dispatches the deferred work an insert produced.
-func (mx *MutableIndex) follow(sealed *mutSegment, compact bool) {
-	if sealed != nil {
-		mx.run(func() { mx.buildSegment(sealed) })
-	}
+// follow dispatches the compaction an insert triggered.
+func (mx *MutableIndex) follow(compact bool) {
 	if compact {
 		mx.run(func() {
 			if err := mx.Compact(); err != nil {
@@ -313,8 +302,8 @@ func (mx *MutableIndex) follow(sealed *mutSegment, compact bool) {
 
 // Insert adds p (retained, not copied) and returns its assigned ID. With
 // a WAL the mutation is durable before Insert returns. Filling the
-// memtable seals it; in synchronous mode the segment build (and a
-// triggered compaction) completes before Insert returns.
+// memtable seals it; in synchronous mode a compaction it triggers
+// completes before Insert returns.
 func (mx *MutableIndex) Insert(p Point) (uint64, error) {
 	if len(p) != bitvec.Words(mx.opts.Dimension) {
 		return 0, fmt.Errorf("anns: point has %d words, want %d for dimension %d",
@@ -332,38 +321,37 @@ func (mx *MutableIndex) Insert(p Point) (uint64, error) {
 			return 0, fmt.Errorf("anns: WAL append: %w", err)
 		}
 	}
-	sealed, compact := mx.applyInsertLocked(id, p)
+	compact := mx.applyInsertLocked(id, p)
 	mx.mu.Unlock()
-	mx.follow(sealed, compact)
+	mx.follow(compact)
 	return id, nil
 }
 
-func (mx *MutableIndex) applyInsertLocked(id uint64, p Point) (*mutSegment, bool) {
+// applyInsertLocked applies one insert, sealing a full memtable, and
+// reports whether the seal should trigger a compaction.
+func (mx *MutableIndex) applyInsertLocked(id uint64, p Point) bool {
 	mx.gen.Add(1)
 	mx.replSeq++
 	mx.nextID = id + 1
 	mx.mem.Append(id, p)
 	mx.present.Add(id)
 	mx.inserts++
-	var sealed *mutSegment
 	if mx.mem.Len() >= mx.cfg.MemtableCap {
 		mx.gen.Add(1)
-		sealed = &mutSegment{seq: mx.segSeq, mem: mx.mem}
-		mx.segSeq++
-		mx.segs = append(mx.segs, sealed)
+		mx.segs = append(mx.segs, mx.mem)
 		mx.mem = segment.NewMemtable()
 	}
-	compact := false
 	if mx.cfg.CompactEvery > 0 && len(mx.segs) >= mx.cfg.CompactEvery && !mx.compactQueued {
 		mx.compactQueued = true
-		compact = true
+		return true
 	}
-	return sealed, compact
+	return false
 }
 
 // Delete tombstones the point with the given ID, reporting whether it
-// was live. Deleted points stop being returned immediately (the merge
-// filters them) and are physically dropped by the next compaction.
+// was live. Deleted points stop being returned immediately (the scans
+// skip them, the merge filters the base's answer) and are physically
+// dropped by the next compaction.
 func (mx *MutableIndex) Delete(id uint64) (bool, error) {
 	mx.mu.Lock()
 	defer mx.mu.Unlock()
@@ -390,33 +378,12 @@ func (mx *MutableIndex) applyDeleteLocked(id uint64) {
 	mx.deletes++
 }
 
-// buildSegment builds the sealed segment's mini-index. Segments below
-// the static build's 2-point floor stay scan-only (only the degenerate
-// sub-2-live compaction residue can produce one).
-func (mx *MutableIndex) buildSegment(seg *mutSegment) {
-	if seg.mem.Len() < 2 {
-		return
-	}
-	opts := mx.opts
-	opts.Seed = SegmentSeed(mx.opts.Seed, seg.seq)
-	ix, err := Build(seg.mem.Points(), opts)
-	if err != nil {
-		return // stays scan-only: slower but exact
-	}
-	seg.idx.Store(ix)
-	atomic.AddInt64(&mx.built, 1)
-	// A built segment answers with scheme accounting instead of scan
-	// accounting, so the folded reply changes even though the answer point
-	// does not — cached replies from before the landing are stale.
-	mx.gen.Add(1)
-}
-
 // errEmptyIndex is returned by Query on a tier holding no points at all.
 var errEmptyIndex = errors.New("anns: mutable index is empty")
 
 // Query returns an approximate nearest neighbor over the live points:
-// the per-tier answers (base and built segments run the paper's scheme,
-// the memtable and raw segments exact scans) folded with the shard-merge
+// the per-tier answers (the base runs the paper's scheme, the sealed
+// segments and the memtable exact scans) folded with the shard-merge
 // accounting. Result.Index is the point's stable ID.
 func (mx *MutableIndex) Query(x Point) (Result, error) {
 	c := core.AcquireQueryCtx()
@@ -431,47 +398,53 @@ func (mx *MutableIndex) QueryScratch(x Point, sc *Scratch) (Result, error) {
 
 // tierReplies collects one reply per non-empty tier. idmaps[i] translates
 // reply i's local answer index to a point ID (nil = the local index
-// already is the ID). ask runs the scheme tier (base or built segment)
-// and scan the exact tier; both must fill Result accounting.
+// already is the ID). ask runs the scheme on the base and scan the exact
+// tiers (sealed segments, then the memtable); both must fill Result
+// accounting.
 func (mx *MutableIndex) tierReplies(
 	ask func(ix *Index) (Result, bool),
 	scan func(m *segment.Memtable) (Result, bool),
 ) ([]ShardReply, [][]uint64) {
 	replies := make([]ShardReply, 0, len(mx.segs)+2)
 	idmaps := make([][]uint64, 0, len(mx.segs)+2)
-	add := func(res Result, ok bool, ids []uint64) {
-		// A candidate that is tombstoned is filtered at merge time: the
-		// tier's accounting stands, its answer does not.
-		if ok && res.Index >= 0 {
-			id := uint64(res.Index)
-			if ids != nil {
-				id = ids[res.Index]
-			}
-			if mx.tomb.Has(id) {
-				ok = false
-			}
-		}
-		replies = append(replies, ShardReply{Result: res, OK: ok})
-		idmaps = append(idmaps, ids)
-	}
 	if mx.base != nil {
 		res, ok := ask(mx.base)
-		add(res, ok, mx.baseIDs)
-	}
-	for _, seg := range mx.segs {
-		if ix := seg.idx.Load(); ix != nil {
-			res, ok := ask(ix)
-			add(res, ok, seg.mem.IDs())
-		} else {
-			res, ok := scan(seg.mem)
-			add(res, ok, seg.mem.IDs())
+		// A base candidate that is tombstoned is filtered at merge time:
+		// the base's accounting stands, its answer does not. (The scans
+		// skip tombstoned entries themselves.)
+		if ok && res.Index >= 0 {
+			id := uint64(res.Index)
+			if mx.baseIDs != nil {
+				id = mx.baseIDs[res.Index]
+			}
+			ok = !mx.tomb.Has(id)
 		}
+		replies = append(replies, ShardReply{Result: res, OK: ok})
+		idmaps = append(idmaps, mx.baseIDs)
+	}
+	addScan := func(m *segment.Memtable) {
+		res, ok := scan(m)
+		replies = append(replies, ShardReply{Result: res, OK: ok})
+		idmaps = append(idmaps, m.IDs())
+	}
+	for _, m := range mx.segs {
+		addScan(m)
 	}
 	if mx.mem.Len() > 0 {
-		res, ok := scan(mx.mem)
-		add(res, ok, mx.mem.IDs())
+		addScan(mx.mem)
 	}
 	return replies, idmaps
+}
+
+// foldTiers merges tierReplies' output with the shard-merge accounting,
+// reporting the winner by point ID.
+func foldTiers(replies []ShardReply, idmaps [][]uint64) Result {
+	return MergeShardReplies(replies, func(s, j int) int {
+		if idmaps[s] == nil {
+			return j
+		}
+		return int(idmaps[s][j])
+	})
 }
 
 // scanResult converts an exact scan into the shared Result accounting:
@@ -502,12 +475,7 @@ func (mx *MutableIndex) search(x Point, c *core.QueryCtx) (Result, error) {
 	if len(replies) == 0 {
 		return Result{Index: -1, Distance: -1}, errEmptyIndex
 	}
-	out := MergeShardReplies(replies, func(s, j int) int {
-		if idmaps[s] == nil {
-			return j
-		}
-		return int(idmaps[s][j])
-	})
+	out := foldTiers(replies, idmaps)
 	if out.Index < 0 {
 		return out, errors.New("anns: query failed")
 	}
@@ -515,7 +483,7 @@ func (mx *MutableIndex) search(x Point, c *core.QueryCtx) (Result, error) {
 }
 
 // QueryNear answers the λ-near-neighbor decision over the live points
-// with the same fan-out: scheme tiers run the paper's single-probe
+// with the same fan-out: the base runs the paper's single-probe
 // decision, exact tiers answer YES with their nearest live point when it
 // lies within Gamma·lambda. NO only when every tier answers NO.
 func (mx *MutableIndex) QueryNear(x Point, lambda float64) (Result, error) {
@@ -555,12 +523,7 @@ func (mx *MutableIndex) searchNear(x Point, lambda float64, c *core.QueryCtx) (R
 			return res, found
 		},
 	)
-	out := MergeShardReplies(replies, func(s, j int) int {
-		if idmaps[s] == nil {
-			return j
-		}
-		return int(idmaps[s][j])
-	})
+	out := foldTiers(replies, idmaps)
 	if out.Index < 0 {
 		if answered || len(replies) == 0 {
 			return out, nil // the NO answer (vacuously true when empty)
@@ -590,10 +553,10 @@ func (mx *MutableIndex) Options() Options { return mx.opts }
 
 // Generation returns the current index generation: a counter that advances
 // on every mutation that can change a query's folded reply (insert,
-// delete, seal, segment build landing, flush, compaction swap). It is the
-// result cache's invalidation hook — a result computed at generation g is
-// valid exactly while Generation() == g — and is lock-free so the serving
-// hot path can read it per request. Generations are process-local: they
+// delete, seal, flush, compaction swap). It is the result cache's
+// invalidation hook — a result computed at generation g is valid exactly
+// while Generation() == g — and is lock-free so the serving hot path can
+// read it per request. Generations are process-local: they
 // restart at zero on boot and are not persisted.
 func (mx *MutableIndex) Generation() uint64 { return mx.gen.Load() }
 
@@ -605,7 +568,6 @@ func (mx *MutableIndex) MutableStats() MutableStats {
 		LiveN:             mx.present.Len(),
 		Memtable:          mx.mem.Len(),
 		Sealed:            len(mx.segs),
-		SegmentsBuilt:     atomic.LoadInt64(&mx.built),
 		Compactions:       mx.compactions,
 		Tombstones:        mx.tomb.Len(),
 		NextID:            mx.nextID,
@@ -622,15 +584,15 @@ func (mx *MutableIndex) MutableStats() MutableStats {
 	return st
 }
 
-// WaitIdle blocks until all currently queued background work (segment
-// builds, triggered compactions) has finished.
+// WaitIdle blocks until all currently queued background work (triggered
+// compactions) has finished.
 func (mx *MutableIndex) WaitIdle() { mx.pending.Wait() }
 
 // Flush seals the current memtable (if non-empty) into a segment below
-// the cap, without scheduling a mini-index build: the segment answers by
-// exact scan until the next compaction folds it. It exists so a
-// compaction can capture every point ("annsctl compact" folds base + WAL
-// into one snapshot); steady-state serving never needs it.
+// the cap; like every sealed segment it answers by exact scan until the
+// next compaction folds it. It exists so a compaction can capture every
+// point ("annsctl compact" folds base + WAL into one snapshot);
+// steady-state serving never needs it.
 func (mx *MutableIndex) Flush() {
 	mx.mu.Lock()
 	defer mx.mu.Unlock()
@@ -638,8 +600,7 @@ func (mx *MutableIndex) Flush() {
 		return
 	}
 	mx.gen.Add(1)
-	mx.segs = append(mx.segs, &mutSegment{seq: mx.segSeq, mem: mx.mem})
-	mx.segSeq++
+	mx.segs = append(mx.segs, mx.mem)
 	mx.mem = segment.NewMemtable()
 }
 
@@ -668,7 +629,7 @@ func (mx *MutableIndex) Compact() error {
 
 	mx.mu.RLock()
 	base, baseIDs := mx.base, mx.baseIDs
-	captured := append([]*mutSegment(nil), mx.segs...)
+	captured := append([]*segment.Memtable(nil), mx.segs...)
 	t0 := mx.tomb.Clone()
 	e := mx.epoch
 	replaying := mx.replaying
@@ -699,7 +660,7 @@ func (mx *MutableIndex) Compact() error {
 		}
 	}
 	for _, seg := range captured {
-		segIDs, segPts := seg.mem.IDs(), seg.mem.Points()
+		segIDs, segPts := seg.IDs(), seg.Points()
 		for j := range segIDs {
 			keep(segIDs[j], segPts[j])
 		}
@@ -730,9 +691,8 @@ func (mx *MutableIndex) Compact() error {
 		mx.base, mx.baseIDs = nil, nil
 		rest := mx.segs[len(captured):]
 		if len(ids) > 0 {
-			residue := &mutSegment{seq: mx.segSeq, mem: segment.NewMemtableFrom(ids, pts)}
-			mx.segSeq++
-			mx.segs = append([]*mutSegment{residue}, rest...)
+			residue := segment.NewMemtableFrom(ids, pts)
+			mx.segs = append([]*segment.Memtable{residue}, rest...)
 		} else {
 			mx.segs = rest
 		}

@@ -183,7 +183,6 @@ func (ms *MutableSharded) MutableStats() MutableStats {
 		out.LiveN += st.LiveN
 		out.Memtable += st.Memtable
 		out.Sealed += st.Sealed
-		out.SegmentsBuilt += st.SegmentsBuilt
 		out.Compactions += st.Compactions
 		out.Tombstones += st.Tombstones
 		out.Inserts += st.Inserts

@@ -3,6 +3,7 @@ package anns
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/segment"
@@ -10,12 +11,14 @@ import (
 )
 
 // KindMutable snapshots capture the mutable tier's full state — the
-// rebuilt base with its ID mapping, every sealed segment (as an embedded
-// index body when built, raw points otherwise), the memtable, and the
-// live tombstone set — so a reboot is LoadMutable + WAL replay. The byte
-// layout is documented (and independently walked by Inspect) in
-// internal/snapshot/mutable.go; TestInspectMutable pins the two against
-// each other.
+// rebuilt base with its ID mapping, every sealed segment as raw points,
+// the memtable, and the live tombstone set — so a reboot is LoadMutable
+// + WAL replay. Files written while sealed segments were still built may
+// hold a segment as an embedded index body instead; LoadMutable keeps
+// its points and drops the index. The byte layout is documented (and
+// independently walked by Inspect) in internal/snapshot/mutable.go;
+// TestMutableSnapshotRoundTrip and TestLoadMutableWithBuiltSegments pin
+// the two against each other.
 
 // SaveMutable writes a snapshot of the tier's current state to w.
 func SaveMutable(w io.Writer, mx *MutableIndex) error {
@@ -30,7 +33,10 @@ func (mx *MutableIndex) saveLocked(w io.Writer) error {
 	e := snapshot.NewEncoder(w, snapshot.KindMutable)
 	snapshot.EncodeIndexOptions(e, envelope(mx.opts))
 	e.U64(mx.nextID)
-	e.U64(mx.segSeq)
+	// segSeq and the per-segment seq once seeded segment builds; they are
+	// written as the segment count and positions so the layout stays
+	// unchanged, and never read back.
+	e.U64(uint64(len(mx.segs)))
 	e.U64(mx.epoch)
 	if mx.base != nil {
 		e.U64(1)
@@ -49,18 +55,13 @@ func (mx *MutableIndex) saveLocked(w io.Writer) error {
 		e.U64(0)
 	}
 	e.U64(uint64(len(mx.segs)))
-	for _, seg := range mx.segs {
-		e.U64(seg.seq)
-		e.U64(uint64(seg.mem.Len()))
-		e.Words(seg.mem.IDs())
-		if ix := seg.idx.Load(); ix != nil {
-			e.U64(1)
-			encodeIndexBody(e, ix)
-		} else {
-			e.U64(0)
-			for _, p := range seg.mem.Points() {
-				e.Words(p)
-			}
+	for s, seg := range mx.segs {
+		e.U64(uint64(s))
+		e.U64(uint64(seg.Len()))
+		e.Words(seg.IDs())
+		e.U64(0) // built: never
+		for _, p := range seg.Points() {
+			e.Words(p)
 		}
 	}
 	e.U64(uint64(mx.mem.Len()))
@@ -75,15 +76,37 @@ func (mx *MutableIndex) saveLocked(w io.Writer) error {
 	return e.Close()
 }
 
+// decodeChunkWords bounds each step of decodeWords: a count the file
+// claims is believed only as far as its words actually arrive.
+const decodeChunkWords = 1 << 16
+
+// decodeWords reads a count-word array in bounded chunks, growing the
+// result as it goes. count comes from the file, so a corrupt header
+// fails at the first missing chunk instead of allocating count words
+// up front.
+func decodeWords(d snapshot.Decoder, count uint64) ([]uint64, error) {
+	out := make([]uint64, 0, min(count, decodeChunkWords))
+	for left := count; left > 0; {
+		n := int(min(left, decodeChunkWords))
+		out = slices.Grow(out, n)
+		d.WordsInto(out[len(out) : len(out)+n])
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+n]
+		left -= uint64(n)
+	}
+	return out, nil
+}
+
 // decodeIDs reads a validated count-prefixed ID array.
 func decodeIDs(d snapshot.Decoder, count uint64, nextID uint64, what string) ([]uint64, error) {
 	if count > nextID {
 		return nil, fmt.Errorf("%w: %s claims %d ids under next-id %d",
 			snapshot.ErrFormat, what, count, nextID)
 	}
-	ids := make([]uint64, count)
-	d.WordsInto(ids)
-	if err := d.Err(); err != nil {
+	ids, err := decodeWords(d, count)
+	if err != nil {
 		return nil, err
 	}
 	for j, id := range ids {
@@ -98,9 +121,8 @@ func decodeIDs(d snapshot.Decoder, count uint64, nextID uint64, what string) ([]
 // decodeRawPoints reads count flat point images of dimension dim.
 func decodeRawPoints(d snapshot.Decoder, count uint64, dim int) ([]Point, error) {
 	w := bitvec.Words(dim)
-	flat := make([]uint64, count*uint64(w))
-	d.WordsInto(flat)
-	if err := d.Err(); err != nil {
+	flat, err := decodeWords(d, count*uint64(w))
+	if err != nil {
 		return nil, err
 	}
 	pts := make([]Point, count)
@@ -161,7 +183,7 @@ func LoadMutable(r io.Reader, cfg MutableConfig) (*MutableIndex, error) {
 		present: segment.NewIDSet(),
 	}
 	mx.nextID = d.U64()
-	mx.segSeq = d.U64()
+	_ = d.U64() // segSeq: unread, see saveLocked
 	mx.epoch = d.U64()
 	hasBase := d.U64()
 	if err := d.Err(); err != nil {
@@ -209,9 +231,8 @@ func LoadMutable(r io.Reader, cfg MutableConfig) (*MutableIndex, error) {
 	if nsegs > snapshot.MaxPlausibleSegments {
 		return nil, fmt.Errorf("%w: implausible segment count %d", snapshot.ErrFormat, nsegs)
 	}
-	var rebuild []*mutSegment
 	for s := uint64(0); s < nsegs; s++ {
-		seq := d.U64()
+		_ = d.U64() // seq: unread, see saveLocked
 		count := d.U64()
 		if err := d.Err(); err != nil {
 			return nil, err
@@ -224,9 +245,10 @@ func LoadMutable(r io.Reader, cfg MutableConfig) (*MutableIndex, error) {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		seg := &mutSegment{seq: seq}
+		var pts []Point
 		switch built {
 		case 1:
+			// Older files hold built segments; only their points are kept.
 			ix, err := decodeIndexBody(d)
 			if err != nil {
 				return nil, fmt.Errorf("segment %d: %w", s, err)
@@ -235,22 +257,19 @@ func LoadMutable(r io.Reader, cfg MutableConfig) (*MutableIndex, error) {
 				return nil, fmt.Errorf("%w: segment %d holds %d points but maps %d ids",
 					snapshot.ErrFormat, s, ix.Len(), len(ids))
 			}
-			seg.mem = segment.NewMemtableFrom(ids, ix.points())
-			seg.idx.Store(ix)
+			pts = ix.points()
 		case 0:
-			pts, err := decodeRawPoints(d, count, opts.Dimension)
+			pts, err = decodeRawPoints(d, count, opts.Dimension)
 			if err != nil {
 				return nil, err
 			}
-			seg.mem = segment.NewMemtableFrom(ids, pts)
-			rebuild = append(rebuild, seg)
 		default:
 			return nil, fmt.Errorf("%w: segment %d built flag is %d", snapshot.ErrFormat, s, built)
 		}
 		for _, id := range ids {
 			mx.present.Add(id)
 		}
-		mx.segs = append(mx.segs, seg)
+		mx.segs = append(mx.segs, segment.NewMemtableFrom(ids, pts))
 	}
 	memCount := d.U64()
 	if err := d.Err(); err != nil {
@@ -288,12 +307,6 @@ func LoadMutable(r io.Reader, cfg MutableConfig) (*MutableIndex, error) {
 	}
 	if err := mx.start(); err != nil {
 		return nil, err
-	}
-	// Segments saved before their mini-index build finished come back
-	// raw; re-enqueue the builds (scan-only until they land).
-	for _, seg := range rebuild {
-		seg := seg
-		mx.run(func() { mx.buildSegment(seg) })
 	}
 	return mx, nil
 }

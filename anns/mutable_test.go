@@ -174,8 +174,8 @@ func queryAll(s interface {
 	return out
 }
 
-// TestMutableSnapshotRoundTrip saves a tier mid-life — base, a built
-// sealed segment, a live memtable, tombstones — and requires the loaded
+// TestMutableSnapshotRoundTrip saves a tier mid-life — base, a sealed
+// segment, a live memtable, tombstones — and requires the loaded
 // tier to answer byte-identically and to report the same state, with
 // Inspect agreeing on the section counts (the format-layer walk and the
 // anns codec are written independently; this test pins them together).
@@ -188,7 +188,7 @@ func TestMutableSnapshotRoundTrip(t *testing.T) {
 	}
 	mx := newMutable(t, base, anns.MutableConfig{MemtableCap: 8})
 	r := rng.New(21)
-	for i := 0; i < 11; i++ { // one sealed (and built) segment + 3 memtable entries
+	for i := 0; i < 11; i++ { // one sealed segment + 3 memtable entries
 		if _, err := mx.Insert(hamming.Random(r, d)); err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestMutableSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("Inspect: %+v", info)
 	}
 	mi := info.Mutable
-	if mi.Base != n || mi.Segments != 1 || mi.RawSegments != 0 ||
+	if mi.Base != n || mi.Segments != 1 || mi.RawSegments != 1 ||
 		mi.Memtable != 3 || mi.Tombstones != 3 || mi.NextID != uint64(n)+11 {
 		t.Fatalf("Inspect mutable summary: %+v", mi)
 	}

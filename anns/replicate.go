@@ -79,9 +79,9 @@ func (mx *MutableIndex) ApplyReplicated(seq uint64, op segment.Op) error {
 				return fmt.Errorf("anns: WAL append: %w", err)
 			}
 		}
-		sealed, compact := mx.applyInsertLocked(op.ID, op.Point)
+		compact := mx.applyInsertLocked(op.ID, op.Point)
 		mx.mu.Unlock()
-		mx.follow(sealed, compact)
+		mx.follow(compact)
 		return nil
 	case segment.OpDelete:
 		if !mx.present.Has(op.ID) {

@@ -101,7 +101,7 @@ func main() {
 	walSync := flag.Int("wal-sync", 1, "fsync the WAL every n records (0 = never, let the OS decide)")
 	memtableCap := flag.Int("memtable", 1024, "mutable memtable seal threshold")
 	compactEvery := flag.Int("compact-every", 4, "sealed segments that trigger background compaction (0 = manual)")
-	mutableSync := flag.Bool("mutable-sync", false, "run seals/compactions inline on the mutating request (deterministic; for compare harnesses)")
+	mutableSync := flag.Bool("mutable-sync", false, "run triggered compactions inline on the mutating request (deterministic; for compare harnesses)")
 
 	cacheEntries := flag.Int("cache", 0, "query-result cache capacity in entries (0 = disabled); invalidated by index generation, so cached answers are always byte-identical to fresh ones")
 	workers := flag.Int("workers", 0, "request worker pool size (0 = GOMAXPROCS)")

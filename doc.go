@@ -132,16 +132,16 @@
 //
 // anns.MutableIndex layers online inserts and deletes over the static
 // core (DESIGN.md §7): inserts land in an exact brute-force memtable
-// that seals into immutable mini-index segments (built with the same
-// Build), deletes tombstone stable point IDs, queries fan out over
-// {base, segments, memtable} and fold with MergeShardReplies (rounds =
-// max, probes = sum — the same accounting the sharded tier uses), and a
+// that seals into immutable segments (scanned the same exact way),
+// deletes tombstone stable point IDs, queries fan out over {base,
+// segments, memtable} and fold with MergeShardReplies (rounds = max,
+// probes = sum — the same accounting the sharded tier uses), and a
 // background compactor rebuilds the base from the live points and swaps
-// it atomically. A CRC-framed write-ahead log makes mutations durable
-// across restarts (replayed on boot, truncated on snapshot). Serve it
-// with annsd -mutable -wal, drive mixed read/write load with annsload
-// -write-ratio, and fold a WAL back into one snapshot offline with
-// annsctl compact.
+// it atomically; that rebuild is the tier's only index build. A
+// CRC-framed write-ahead log makes mutations durable across restarts
+// (replayed on boot, truncated on snapshot). Serve it with annsd
+// -mutable -wal, drive mixed read/write load with annsload -write-ratio,
+// and fold a WAL back into one snapshot offline with annsctl compact.
 //
 // # Distributed tier
 //

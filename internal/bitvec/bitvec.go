@@ -126,14 +126,6 @@ func (v Vector) Xor(u Vector) Vector {
 	return v
 }
 
-// And sets v to v AND u in place and returns v.
-func (v Vector) And(u Vector) Vector {
-	for i := range v {
-		v[i] &= u[i]
-	}
-	return v
-}
-
 // AndPopCount returns PopCount(v AND u) without allocating.
 // It is the inner product kernel for sketch application, unrolled the same
 // way as Distance.

@@ -118,9 +118,6 @@ func (c *QueryCtx) Reset(k int) {
 	c.pending = c.pending[:0]
 }
 
-// RoundBudget returns k (0 = unlimited).
-func (c *QueryCtx) RoundBudget() int { return c.k }
-
 // RoundsLeft returns how many rounds remain (MaxInt-ish when unlimited).
 func (c *QueryCtx) RoundsLeft() int {
 	if c.k == 0 {

@@ -3,8 +3,8 @@
 // points, a growable dense-ID bitmap used for liveness and tombstone
 // sets, and a CRC-framed write-ahead log that makes mutations durable
 // across restarts. The tier itself — sealing memtables into immutable
-// mini-indexes, fanning queries out over {base, segments, memtable},
-// and compacting back into the static core — is assembled in the public
+// segments, fanning queries out over {base, segments, memtable}, and
+// compacting back into the static core — is assembled in the public
 // anns package (anns.MutableIndex); this package stays below it so the
 // storage primitives carry no dependency on the query schemes.
 package segment

@@ -5,16 +5,15 @@ import (
 )
 
 // Memtable is the in-memory delta tier: freshly inserted points with
-// their assigned IDs, queried by exact brute-force Hamming scan until
-// the memtable seals into an immutable segment. The scan reads every
-// entry, so its cell-probe accounting is honest and deterministic:
-// one round, Len() probes. Entries are append-only; deletes tombstone
-// (the scan skips members of the caller's dead set) and are physically
-// dropped only at compaction.
+// their assigned IDs, queried by exact brute-force Hamming scan. The
+// scan reads every entry, so its cell-probe accounting is honest and
+// deterministic: one round, Len() probes. Entries are append-only;
+// deletes tombstone (the scan skips members of the caller's dead set)
+// and are physically dropped only at compaction.
 //
-// A sealed memtable doubles as the raw storage of a segment whose
-// mini-index has not been built yet, so the same Scan serves both the
-// active memtable and not-yet-indexed segments.
+// A full memtable seals into an immutable segment and stays one until
+// compaction, so the same Scan serves the active memtable and every
+// sealed segment.
 //
 // A Memtable is not safe for concurrent mutation; the mutable tier
 // guards appends with its index lock.

@@ -66,8 +66,6 @@ func (s *Server) buildRegistry() {
 		mg("anns_mutable_generation", "Index mutation epoch.", func() float64 { return float64(ms.MutableStats().Generation) })
 		mg("anns_replication_offset", "Highest applied WAL offset.", func() float64 { return float64(ms.MutableStats().ReplicationOffset) })
 		mg("anns_wal_bytes", "WAL size on disk.", func() float64 { return float64(ms.MutableStats().WALBytes) })
-		reg.CounterFunc("anns_segments_built_total", "Segments sealed and built.", nil,
-			func() float64 { return float64(ms.MutableStats().SegmentsBuilt) })
 		reg.CounterFunc("anns_compactions_total", "Completed compactions.", nil,
 			func() float64 { return float64(ms.MutableStats().Compactions) })
 	}

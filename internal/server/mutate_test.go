@@ -124,7 +124,7 @@ func TestMutationStatsSurface(t *testing.T) {
 		t.Fatal("mutable stats block missing")
 	}
 	m := snap.Mutable
-	if m.SealedSegments != 1 || m.Memtable != 2 || m.Tombstones != 1 || m.SegmentsBuilt != 1 {
+	if m.SealedSegments != 1 || m.Memtable != 2 || m.Tombstones != 1 {
 		t.Fatalf("mutable block: %+v", m)
 	}
 	// The wire schema must carry the block.

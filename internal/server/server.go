@@ -467,7 +467,6 @@ func (s *Server) Stats() StatsSnapshot {
 			LiveN:             st.LiveN,
 			Memtable:          st.Memtable,
 			SealedSegments:    st.Sealed,
-			SegmentsBuilt:     st.SegmentsBuilt,
 			Compactions:       st.Compactions,
 			Tombstones:        st.Tombstones,
 			NextID:            st.NextID,

@@ -130,7 +130,6 @@ type MutableStats struct {
 	LiveN            int    `json:"live_n"`
 	Memtable         int    `json:"memtable"`
 	SealedSegments   int    `json:"sealed_segments"`
-	SegmentsBuilt    int64  `json:"segments_built"`
 	Compactions      int64  `json:"compactions"`
 	Tombstones       int    `json:"tombstones"`
 	NextID           uint64 `json:"next_id"`

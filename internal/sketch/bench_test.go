@@ -86,9 +86,8 @@ func BenchmarkNewFamily(b *testing.B) {
 
 // BenchmarkApplyBlock sketches a database block at the serving shape
 // (d = 512, 336 rows: c₁ = 24 at n = 16 384) as an eager build does once
-// per level, at n = 512 (a segment the benchmark's churn workload seals),
-// and at n = 128…8, around where the two kernels cross (small
-// MemtableCap seals). "into" is ApplyBlockInto's own choice; "tables"
+// per level, at n = 512, and at n = 128…8, around where the two kernels
+// cross (small databases). "into" is ApplyBlockInto's own choice; "tables"
 // and "parity" force each kernel over the same block.
 func BenchmarkApplyBlock(b *testing.B) {
 	const d, rows = 512, 336

@@ -234,10 +234,3 @@ func (f *Family) InC(i int, sketchX, sketchZ bitvec.Vector) bool {
 func (f *Family) InD(j int, coarseX, coarseZ bitvec.Vector) bool {
 	return bitvec.DistanceAtMost(coarseX, coarseZ, f.CoarseThreshold(j))
 }
-
-// NominalTableCells returns the paper's nominal cell count for one ball
-// table T_i: 2^{c₁·log₂ n} = n^{c₁} addresses, in the log₂ domain to avoid
-// overflow. Used only for space accounting (experiment E8).
-func (f *Family) NominalTableCells() float64 {
-	return float64(f.AccurateRows())
-}

@@ -45,9 +45,9 @@ var m4rPool = sync.Pool{New: func() any { return new(m4rScratch) }}
 // 64…336 rows it switches at most 1.8× past the measured crossover,
 // where row parity is at most 1.5× slower; at 8 rows (one output word)
 // it never switches, and the tables measured slower up to n = 256.
-// Blocks below the switch are real: a mutable tier seals MemtableCap
-// points at a time (4 in the chaos suite, 32 in the benchmark's quick
-// churn run), and at n = 8 the tables cost 9× the row-parity kernel.
+// Blocks below the switch come from small databases (an index over a
+// few dozen points, or the first compaction of a mutable tier that
+// starts empty), and at n = 8 the tables cost 9× the row-parity kernel.
 func fourRussiansPays(n, d, rows int) bool {
 	w, r := bitvec.Words(d), bitvec.Words(rows)
 	parity := n * rows * (w + 1)

@@ -26,9 +26,9 @@ func TestTranspose64(t *testing.T) {
 
 // TestFourRussiansPaysAtServingShapes pins the kernel choice where
 // BenchmarkApplyBlock measures it (d = 512, 336 rows: the two kernels
-// cross between n = 64 and n = 128): a whole index and a sealed segment
-// take the tables; a four-point segment (MemtableCap 4), n = 64 and a
-// matrix of one output word at any n keep the row-parity kernel.
+// cross between n = 64 and n = 128): a whole index and a 512-point block
+// take the tables; a four-point block, n = 64 and a matrix of one output
+// word at any n keep the row-parity kernel.
 func TestFourRussiansPaysAtServingShapes(t *testing.T) {
 	for _, c := range []struct {
 		n, d, rows int

@@ -142,7 +142,7 @@ func (m *Matrix) ApplyBatchInto(dsts, xs []bitvec.Vector) {
 
 // ApplyBlockInto computes dst.Row(i) = M·src.Row(i) for every row of src
 // — the build path, used when a whole database block is sketched at once
-// (eager builds, segment seals, compactions, lazy per-level sketches).
+// (eager builds, compactions, lazy per-level sketches).
 // Blocks large enough to share Four-Russians byte tables go through them
 // (applyBlockTables); smaller ones take the row-parity kernel. Both give
 // the same bits. dst must have src.Rows() rows of Words(m.NumRows) words.
@@ -209,10 +209,6 @@ func (m *Matrix) applyBlock4(dsts, xs []bitvec.Vector) {
 		d0[o], d1[o], d2[o], d3[o] = w0, w1, w2, w3
 	}
 }
-
-// SketchDistance returns the Hamming distance between two sketches. It is a
-// convenience alias that documents intent at call sites.
-func SketchDistance(a, b bitvec.Vector) int { return bitvec.Distance(a, b) }
 
 // ExpectedFraction returns the expected normalized sketch distance between
 // two points at Hamming distance dist, for a matrix drawn with parameter p:

@@ -11,7 +11,8 @@ import (
 // the format layer's independent walk of the same byte layout, so
 // Inspect can summarize a mutable snapshot — segment and tombstone
 // counts included — without importing the public API package. The two
-// must agree; TestInspectMutable in package anns pins them together.
+// must agree; TestMutableSnapshotRoundTrip and
+// TestLoadMutableWithBuiltSegments in package anns pin them together.
 //
 //	envelope   IndexOptions (the tier's serving/build options)
 //	scalars    nextID u64, segSeq u64, epoch u64
@@ -26,6 +27,12 @@ import (
 //	memtable   count u64, ids word-array [count],
 //	           raw point word-array [count × Words(d)]
 //	tombstones count u64, ids word-array [count] (ascending)
+//
+// segSeq and seq once seeded per-segment index builds. Sealed segments
+// are no longer built, so writers emit built = 0, segSeq = the segment
+// count and seq = the segment's position, and readers ignore both
+// numbers; built = 1 records survive only in older files, and loading
+// one keeps its points and drops its index.
 const mutableLayoutDoc = 0 // (doc anchor; no runtime content)
 
 // maxSegments caps the declared sealed-segment count: segments are

@@ -143,9 +143,9 @@ type MutableInfo struct {
 	// Base is the rebuilt base index's row count (0 when the tier has no
 	// base yet).
 	Base int
-	// Segments is the sealed segment count; RawSegments of those had no
-	// mini-index built when the snapshot was taken (they reload as
-	// scan-only segments).
+	// Segments is the sealed segment count; RawSegments of those are
+	// stored as raw points. Current writers store every segment raw;
+	// older files may hold built segments, which load as raw ones.
 	Segments, RawSegments int
 	// SegmentPoints is the total point count across sealed segments.
 	SegmentPoints int

@@ -52,12 +52,6 @@ func NewSet(fam *sketch.Family, db []bitvec.Vector) *Set {
 	return newSet(fam, bitvec.BlockOf(db))
 }
 
-// NewSetFromBlock is NewSet over an already-flat database block (adopted,
-// not copied).
-func NewSetFromBlock(fam *sketch.Family, db bitvec.Block) *Set {
-	return newSet(fam, db)
-}
-
 func newSet(fam *sketch.Family, db bitvec.Block) *Set {
 	s := &Set{Fam: fam, DBBlock: db, Meter: &cellprobe.Meter{}}
 	s.keys = newPointKeyIndex(&s.DBBlock)
